@@ -91,6 +91,11 @@ class ExperimentConfig:
             raise ConfigError("bins must be a positive integer")
         if self.samples is not None and self.samples < 2:
             raise ConfigError("samples must be at least 2")
+        if (self.experiment == "roff-variance" and self.samples is not None
+                and self.samples < 100):
+            raise ConfigError("roff-variance needs at least 100 samples")
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
 
     def resolve_N(self, default: list[int]) -> list[int]:
         if self.N_list is not None:
@@ -297,6 +302,11 @@ def run(config: ExperimentConfig) -> dict:
     config.validate()
     t0 = time.time()
     rows = _RUNNERS[config.experiment](config)
+    if not rows:
+        sizes = f"N={config.N_list}" if config.N_list else "its default N"
+        raise ConfigError(
+            f"{config.experiment} has no rows: its range is empty at "
+            f"theta={config.theta}, eps={config.eps}, {sizes}")
     report = {
         "config": asdict(config),
         "experiment": config.experiment,

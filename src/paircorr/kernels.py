@@ -143,17 +143,16 @@ def _transform_grid(kernel: TestKernel, max_abs_freq: float,
 
 def fourier(kernel: TestKernel, x, nodes_per_unit: int = 4096):
     """Fourier transform int kernel(y) e(-x y) dy at frequency/ies x."""
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    xs = np.asarray(x, dtype=np.float64)
     fmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    nodes, wv = _transform_grid(kernel, fmax, nodes_per_unit)
-    out = np.empty(xs.shape, dtype=np.complex128)
-    step = max(1, int(4.0e6) // max(nodes.size, 1))
-    for i in range(0, xs.size, step):
-        blk = xs.flat[i:i + step]
-        out.flat[i:i + step] = np.exp(-2j * np.pi * np.outer(blk, nodes)) @ wv
+    out = FourierTable(kernel, fmax, nodes_per_unit).values(xs)
     if np.ndim(x) == 0:
-        return complex(out.flat[0])
+        return complex(out)
     return out
+
+
+# complex entries per block of phases, about 64 MB
+_BLOCK = 4_000_000
 
 
 class FourierTable:
@@ -161,7 +160,10 @@ class FourierTable:
 
     The grid is sized at construction for frequencies up to ``max_abs_freq``;
     asking beyond that band raises instead of silently losing accuracy.
-    Scalar lookups are cached, vector evaluation is a direct matrix product.
+    On an arithmetic lattice x0 + i*step the phases factor as
+    e(-t*step*y) * e(-(x0 + b*T*step)*y) with i = b*T + t, so one fine and
+    one coarse table of about sqrt(n) rows each and a matrix product replace
+    the n-by-nodes exponentials; any other input is a direct matrix product.
     """
 
     def __init__(self, kernel: TestKernel, max_abs_freq: float = 64.0,
@@ -170,7 +172,6 @@ class FourierTable:
         self.max_abs_freq = float(max_abs_freq)
         self._nodes, self._wvals = _transform_grid(kernel, self.max_abs_freq,
                                                    nodes_per_unit)
-        self._cache: dict[float, complex] = {}
 
     def _check(self, fmax: float):
         if fmax > self.max_abs_freq * (1 + 1e-12):
@@ -178,26 +179,42 @@ class FourierTable:
                 f"frequency {fmax} outside the table band "
                 f"[-{self.max_abs_freq}, {self.max_abs_freq}]")
 
-    def value(self, x: float) -> complex:
-        x = float(x)
-        hit = self._cache.get(x)
-        if hit is None:
-            self._check(abs(x))
-            hit = complex(np.exp(-2j * np.pi * x * self._nodes) @ self._wvals)
-            self._cache[x] = hit
-        return hit
+    def _phases(self, xs: np.ndarray) -> np.ndarray:
+        return np.exp(-2j * np.pi * np.outer(xs, self._nodes))
+
+    def _dense(self, xs: np.ndarray) -> np.ndarray:
+        out = np.empty(xs.size, dtype=np.complex128)
+        rows = max(1, _BLOCK // self._nodes.size)
+        for i in range(0, xs.size, rows):
+            out[i:i + rows] = self._phases(xs[i:i + rows]) @ self._wvals
+        return out
+
+    def _lattice(self, x0: float, step: float, n: int) -> np.ndarray:
+        rows = max(1, _BLOCK // self._nodes.size)
+        T = min(math.isqrt(n - 1) + 1, rows)
+        fine = self._phases(step * np.arange(T))
+        starts = x0 + step * (T * np.arange(-(-n // T)))
+        out = np.empty(starts.size * T, dtype=np.complex128)
+        for b in range(0, starts.size, rows):
+            coarse = self._phases(starts[b:b + rows]) * self._wvals
+            out[b * T:(b + rows) * T] = (fine @ coarse.T).T.ravel()
+        return out[:n]
 
     def values(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
-        if xs.size:
-            self._check(float(np.max(np.abs(xs))))
-        out = np.empty(xs.shape, dtype=np.complex128)
-        step = max(1, int(4.0e6) // max(self._nodes.size, 1))
-        for i in range(0, xs.size, step):
-            blk = xs.flat[i:i + step]
-            out.flat[i:i + step] = (
-                np.exp(-2j * np.pi * np.outer(blk, self._nodes)) @ self._wvals)
-        return out
+        flat = xs.ravel()
+        n = flat.size
+        if n == 0:
+            return np.empty(xs.shape, dtype=np.complex128)
+        scale = float(np.max(np.abs(flat)))
+        self._check(scale)
+        if n >= 2:
+            x0 = float(flat[0])
+            step = (float(flat[-1]) - x0) / (n - 1)
+            drift = np.max(np.abs(flat - (x0 + step * np.arange(n))))
+            if drift <= 8.0 * np.finfo(np.float64).eps * scale:
+                return self._lattice(x0, step, n).reshape(xs.shape)
+        return self._dense(flat).reshape(xs.shape)
 
 
 def periodize(kernel: TestKernel, N: int, x):

@@ -122,3 +122,21 @@ def test_flag_overrides_config_file(tmp_path):
 def test_experiments_registry_complete():
     assert EXPERIMENTS == ("paircorr", "gaps", "bprocess", "moments",
                            "roff-variance", "dio", "bs-check")
+
+
+def test_negative_seed_exits_2(tmp_path):
+    assert main(["moments", "--seed", "-1", "--N", "256",
+                 "--out", str(tmp_path)]) == 2
+
+
+def test_roff_variance_too_few_samples_exits_2(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"samples": 50}))
+    assert main(["roff-variance", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+
+
+def test_zero_rows_exits_2(tmp_path):
+    # theta 0.5, eps 0.05, N 256: no integer u in [0.95, 1.05] * log N
+    assert main(["dio", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "report.json").exists()

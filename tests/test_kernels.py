@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from paircorr.expsums import SequenceSpec, _band
 from paircorr.kernels import (DegenerateKernelError, FourierTable, KernelError,
                               TestKernel, default_f, default_h, default_rho,
                               fourier, integrate, make_bump, normalize_rho,
@@ -107,11 +108,50 @@ def test_fourier_table_matches_direct_and_guards_band():
     table = FourierTable(f, max_abs_freq=16.0)
     xs = np.linspace(-16.0, 16.0, 101)
     assert np.max(np.abs(table.values(xs) - fourier(f, xs))) < 1e-12
-    assert table.value(3.0) == pytest.approx(complex(fourier(f, 3.0)), abs=1e-12)
+    assert table.values(3.0) == pytest.approx(complex(fourier(f, 3.0)),
+                                              abs=1e-12)
     with pytest.raises(ValueError):
-        table.value(16.5)
+        table.values(16.5)
     with pytest.raises(ValueError):
         table.values(np.array([0.0, 17.0]))
+
+
+def _dense_oracle(table, xs):
+    """The table's Gauss-Legendre rule as one explicit phase product."""
+    xs = np.asarray(xs, dtype=np.float64)
+    out = np.empty(xs.size, dtype=np.complex128)
+    for i in range(0, xs.size, 256):
+        phases = np.exp(-2j * np.pi * np.outer(xs[i:i + 256], table._nodes))
+        out[i:i + 256] = phases @ table._wvals
+    return out
+
+
+@pytest.mark.parametrize("xs, nodes_per_unit, lattice", [
+    (np.arange(1, 64 * 64 + 1) / 64, 4096, True),   # j / N, j <= 64 N
+    (_band(SequenceSpec(0.5, 1.0, 2 ** 12), 0.05) / 2 ** 12, 4096, True),
+    (np.arange(300, -1, -1) / 16.0, 1024, True),    # descending
+    (np.arange(1, 1001) / 32.0, 1024, True),        # 1000 rows, T = 32
+    (np.array([2.5]), 1024, False),
+    (np.array([-3.0, 7.25]), 1024, True),
+    (0.3 + np.arange(777) * 0.0123, 1024, True),    # offset from 0
+    (np.random.default_rng(4).uniform(-10.0, 10.0, 500), 1024, False),
+])
+def test_fourier_table_matches_dense_oracle(xs, nodes_per_unit, lattice):
+    assert xs.size <= 4096
+    table = FourierTable(default_f(), float(np.max(np.abs(xs))),
+                         nodes_per_unit)
+    if lattice:
+        # every lattice must take the factored product, not the dense path
+        table._dense = None
+    assert np.max(np.abs(table.values(xs) - _dense_oracle(table, xs))) < 1e-14
+
+
+def test_fourier_table_lattice_past_band_raises():
+    table = FourierTable(default_f(), max_abs_freq=4.0, nodes_per_unit=1024)
+    with pytest.raises(ValueError):
+        table.values(np.arange(0, 66) / 16.0)
+    with pytest.raises(ValueError):
+        table.values(-np.arange(0, 66) / 16.0)
 
 
 def test_periodize_hand_values():
