@@ -17,14 +17,14 @@ from .diophantine import (DioInstance, ResourceGuardError, ZMultiset,
 from .expsums import (BProcessConstants, DiagonalTerm, ExpSumPair,
                       SequenceSpec, TildeDecomposition, bprocess_constants,
                       diagonal_w_term, exp_sum_bprocess, exp_sum_direct,
-                      exp_sum_pair, pair_corr_smooth, r_off, s_sum,
+                      exp_sum_pair, pair_corr_smooth, s_sum,
                       s_tilde_parts, stationary_point, stationary_window)
 from .kernels import (DegenerateKernelError, FourierTable, KernelError,
                       TestKernel, default_f, default_h, default_rho,
                       fourier, integrate, make_bump, normalize_rho,
                       periodize)
 from .measure import (MeasureError, MomentEstimate, MuMeasure,
-                      osc_integral_single, osc_integral_vec, sample_alpha,
+                      osc_integral_single, osc_integral_vec,
                       second_moment_roff, second_moment_tilde_e)
 from .stats import (GapHistogram, PairCorrEstimate, PointSet,
                     fractional_parts, gap_distribution, pair_corr_count,
@@ -82,11 +82,9 @@ __all__ = [
     "pair_corr_count",
     "pair_corr_smooth",
     "periodize",
-    "r_off",
     "robert_sargos_count",
     "s_sum",
     "s_tilde_parts",
-    "sample_alpha",
     "second_moment_roff",
     "second_moment_tilde_e",
     "stationary_point",

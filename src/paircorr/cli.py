@@ -37,6 +37,44 @@ class ConfigError(Exception):
     """The run request cannot be executed as configured."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _is_ints(v, length: int | None = None) -> bool:
+    return (isinstance(v, (list, tuple)) and all(map(_is_int, v))
+            and length in (None, len(v)))
+
+
+def _optional(test):
+    return lambda v: v is None or test(v)
+
+
+# what a JSON config may hold in each field that a range or membership
+# test alone would not reject cleanly, and how to say so
+_FIELD_TYPES = {
+    "theta": (_is_real, "a finite number"),
+    "alpha": (_is_real, "a finite number"),
+    "alpha_count": (_is_int, "an integer"),
+    "N_list": (_optional(_is_ints), "a list of integers"),
+    "C": (_optional(_is_int), "an integer"),
+    "ell_range": (_optional(lambda v: _is_ints(v, 2)), "a pair of integers"),
+    "eps": (_is_real, "a finite number"),
+    "seed": (_is_int, "an integer"),
+    "output_dir": (lambda v: isinstance(v, str), "a string"),
+    "exclude_squares": (lambda v: isinstance(v, bool), "true or false"),
+    "bins": (_is_int, "an integer"),
+    "samples": (_optional(_is_int), "an integer"),
+    "tolerances": (lambda v: isinstance(v, dict)
+                   and all(map(_is_real, v.values())),
+                   "an object of finite numbers"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment request; field defaults give a small honest run.
@@ -63,6 +101,10 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        for name, (ok, kind) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENTS)}")
@@ -85,7 +127,7 @@ class ExperimentConfig:
             if not 1 <= lo <= hi:
                 raise ConfigError("ell_range must satisfy 1 <= lo <= hi")
         if self.N_list is not None:
-            if not self.N_list or any(int(n) < 2 for n in self.N_list):
+            if not self.N_list or min(self.N_list) < 2:
                 raise ConfigError("N_list entries must be integers >= 2")
         if self.bins < 1:
             raise ConfigError("bins must be a positive integer")
@@ -94,8 +136,8 @@ class ExperimentConfig:
         if (self.experiment == "roff-variance" and self.samples is not None
                 and self.samples < 100):
             raise ConfigError("roff-variance needs at least 100 samples")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2 ** 128:  # the Philox key range
+            raise ConfigError("seed must be an integer in [0, 2**128)")
 
     def resolve_N(self, default: list[int]) -> list[int]:
         if self.N_list is not None:
@@ -341,8 +383,11 @@ def run(config: ExperimentConfig) -> dict:
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     fields = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            fields = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                fields = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse {args.config}: {exc}") from exc
         if not isinstance(fields, dict):
             raise ConfigError("config file must hold a JSON object")
     fields["experiment"] = args.experiment
@@ -359,8 +404,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         fields["eps"] = args.eps
     if args.out is not None:
         fields["output_dir"] = args.out
-    if "ell_range" in fields and fields["ell_range"] is not None:
-        fields["ell_range"] = tuple(fields["ell_range"])
     try:
         return ExperimentConfig(**fields)
     except TypeError as exc:
@@ -384,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args)
         config.validate()
         report = run(config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceGuardError as exc:

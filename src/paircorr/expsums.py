@@ -112,23 +112,24 @@ def stationary_point(spec: SequenceSpec, j: int, m: int) -> float:
     return (spec.theta * spec.alpha * j / m) ** spec.Theta
 
 
+def _single(j: int) -> np.ndarray:
+    if j < 1:
+        raise ValueError("j must be a positive integer")
+    return np.array([j], dtype=np.int64)
+
+
 def stationary_window(spec: SequenceSpec, j: int) -> tuple[int, int]:
-    """Inclusive m-range whose stationary points fall in [N, 2N].
+    """Inclusive m-range whose stationary points fall in [N, 2N]."""
+    lo, hi, _ = _windows(spec, _single(j))
+    return int(lo[0]), int(hi[0])
+
+
+def _windows(spec: SequenceSpec, js: np.ndarray):
+    """Per-j inclusive m-windows (lo, hi) and their lengths.
 
     Endpoints carry zero weight (h vanishes there), so the 1e-12 nudges only
     guard against ties rounding the wrong way.
     """
-    if j < 1:
-        raise ValueError("j must be a positive integer")
-    th, al, N = spec.theta, spec.alpha, spec.N
-    lo_f = th * al * j * (2.0 * N) ** (th - 1.0)
-    hi_f = th * al * j * float(N) ** (th - 1.0)
-    lo = max(1, int(math.ceil(lo_f * (1.0 - 1e-12))))
-    hi = int(math.floor(hi_f * (1.0 + 1e-12)))
-    return lo, hi
-
-
-def _windows(spec: SequenceSpec, js: np.ndarray):
     th, al, N = spec.theta, spec.alpha, spec.N
     jsf = js.astype(np.float64)
     lo = np.ceil(th * al * jsf * (2.0 * N) ** (th - 1.0) * (1.0 - 1e-12))
@@ -148,24 +149,23 @@ def _flatten_windows(lo, lens):
     return rep, m
 
 
-def _short_components(spec: SequenceSpec, h: TestKernel, js: np.ndarray):
-    """Per-j short-form data: |E~_j|^2 and its diagonal (n = m) part.
+def _short_terms(spec: SequenceSpec, h: TestKernel, js: np.ndarray):
+    """The stationary-phase terms of every E~_j, j in js, in one table.
 
+    Term k belongs to js[rep[k]] and to one m of its window, and
+    E~_j = c1 (alpha*j)**(Theta/2) * sum_k amp_k e(ph_k) over its terms,
+    with amp = m**(-(Theta+1)/2) h(x_m/N) and ph the reduced phase.
     Shared long-double tables: A_j = (alpha*j)**Theta per j and
     B_m = m**(1-Theta) per m in the union of the windows; the phase of the
     (j, m) term is c2 * A_j * B_m, so no per-pair transcendentals are needed.
+    Returns (rep, amp, ph, (lo, hi, lens)).
     """
     TH = spec.Theta
     th, al, N = spec.theta, spec.alpha, spec.N
-    J = len(js)
-    lo, hi, lens = _windows(spec, js)
-    abs2 = np.zeros(J, dtype=np.float64)
-    diag = np.zeros(J, dtype=np.float64)
-    consts = bprocess_constants(th)
-    pref = abs(consts.c1) ** 2 * (al * js.astype(np.float64)) ** TH
-    total = int(lens.sum())
-    if total == 0:
-        return abs2, diag, (lo, hi, lens)
+    windows = _windows(spec, js)
+    lo, _, lens = windows
+    if not lens.any():
+        return np.zeros(0, np.int64), np.zeros(0), np.zeros(0), windows
     rep, m = _flatten_windows(lo, lens)
     m_base = int(m.min())
     btab = _pow_ld(np.arange(m_base, int(m.max()) + 1), 1.0 - TH)
@@ -176,33 +176,27 @@ def _short_components(spec: SequenceSpec, h: TestKernel, js: np.ndarray):
     mf = m.astype(np.float64)
     xm = (th * al * js.astype(np.float64)[rep] / mf) ** TH
     amp = mf ** (-(TH + 1.0) / 2.0) * h(xm / N)
+    return rep, amp, ph, windows
+
+
+def _short_components(spec: SequenceSpec, h: TestKernel, js: np.ndarray):
+    """Per-j short-form data: |E~_j|^2 and its diagonal (n = m) part."""
+    J = len(js)
+    rep, amp, ph, windows = _short_terms(spec, h, js)
+    pref = (abs(bprocess_constants(spec.theta).c1) ** 2
+            * (spec.alpha * js.astype(np.float64)) ** spec.Theta)
     vals = amp * e_frac(ph)
     sr = np.bincount(rep, weights=vals.real, minlength=J)
     si = np.bincount(rep, weights=vals.imag, minlength=J)
     dg = np.bincount(rep, weights=amp * amp, minlength=J)
-    abs2 = pref * (sr ** 2 + si ** 2)
-    diag = pref * dg
-    return abs2, diag, (lo, hi, lens)
+    return pref * (sr ** 2 + si ** 2), pref * dg, windows
 
 
 def exp_sum_bprocess(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
     """Short (stationary-phase) form of E_j; 0 when the m-window is empty."""
-    lo, hi = stationary_window(spec, j)
-    if lo > hi:
-        return 0j
-    TH = spec.Theta
-    th, al, N = spec.theta, spec.alpha, spec.N
-    m = np.arange(lo, hi + 1, dtype=np.int64)
-    btab = _pow_ld(m, 1.0 - TH)
-    th_ld = LD(th)
-    c2_ld = np.power(th_ld, LD(TH - 1.0)) - np.power(th_ld, LD(TH))
-    a_ld = np.power(as_ld(al) * j, LD(TH))
-    ph = frac(c2_ld * a_ld * btab)
-    mf = m.astype(np.float64)
-    xm = (th * al * j / mf) ** TH
-    amp = mf ** (-(TH + 1.0) / 2.0) * h(xm / N)
-    consts = bprocess_constants(th)
-    return consts.c1 * (al * j) ** (TH / 2.0) * csum(amp * e_frac(ph))
+    _, amp, ph, _ = _short_terms(spec, h, _single(j))
+    c1 = bprocess_constants(spec.theta).c1
+    return c1 * (spec.alpha * j) ** (spec.Theta / 2.0) * csum(amp * e_frac(ph))
 
 
 @dataclass(frozen=True)
@@ -293,58 +287,6 @@ def s_tilde_parts(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     table = FourierTable(f, max_abs_freq=js[-1] / spec.N)
     fv = table.values(js / spec.N).real
     return _tilde_from_values(spec, h, js, fv)
-
-
-def r_off(spec: SequenceSpec, f: TestKernel, h: TestKernel, eps: float = 0.05,
-          method: str = "pairs") -> float:
-    """Off-diagonal part of S~ over the band j in [N^(1-eps), N^(1+eps)].
-
-    method "pairs" runs the literal double sum over stationary points
-    m != n, phasing each pair through z = m**(1-Theta) - n**(1-Theta);
-    method "fourier" takes |E~_j|^2 minus its diagonal.  The two agree to
-    rounding and exercise disjoint code paths.
-    """
-    if method == "fourier":
-        parts = s_tilde_parts(spec, f, h, eps)
-        return parts.off_diagonal
-    if method != "pairs":
-        raise ValueError("method must be 'pairs' or 'fourier'")
-    js = _band(spec, eps)
-    if js.size == 0:
-        return 0.0
-    TH = spec.Theta
-    th, al, N = spec.theta, spec.alpha, spec.N
-    table = FourierTable(f, max_abs_freq=js[-1] / N)
-    fv = table.values(js / N).real
-    lo, hi, lens = _windows(spec, js)
-    consts = bprocess_constants(th)
-    c1sq = abs(consts.c1) ** 2
-    th_ld = LD(th)
-    c2_ld = np.power(th_ld, LD(TH - 1.0)) - np.power(th_ld, LD(TH))
-    mlo = int(lo[lens > 0].min()) if (lens > 0).any() else 1
-    mhi = int(hi[lens > 0].max()) if (lens > 0).any() else 1
-    btab = _pow_ld(np.arange(mlo, mhi + 1), 1.0 - TH)
-    acc = 0.0 + 0.0j
-    for idx, j in enumerate(js):
-        k = int(lens[idx])
-        if k < 2:
-            continue
-        m = np.arange(lo[idx], hi[idx] + 1, dtype=np.int64)
-        b = btab[m - mlo]
-        a_ld = np.power(as_ld(al) * int(j), LD(TH))
-        # pair phase via z_mn = m^(1-Theta) - n^(1-Theta); the diagonal of
-        # the quadratic form contributes e(0) Sum a^2, removed afterwards
-        ph = frac(c2_ld * a_ld * (b[:, None] - b[None, :]))
-        mf = m.astype(np.float64)
-        xm = (th * al * float(j) / mf) ** TH
-        a = mf ** (-(TH + 1.0) / 2.0) * h(xm / N)
-        quad = a @ (e_frac(ph) @ a) - np.dot(a, a)
-        acc += fv[idx] * c1sq * (al * float(j)) ** TH * quad
-    acc *= 2.0 / N ** 2
-    if abs(acc.imag) > 1e-10 * (abs(acc.real) + 1.0):
-        raise ArithmeticError(
-            f"pair sum picked up a spurious imaginary part: {acc.imag:.3e}")
-    return float(acc.real)
 
 
 def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,

@@ -27,23 +27,7 @@ class MeasureError(Exception):
 
 
 def _thread_workers() -> int:
-    raw = os.environ.get("PAIRCORR_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k <= 0:
-        k = min(4, os.cpu_count() or 1)
-    return k
-
-
-def _map_indexed(fn, n: int) -> list:
-    """fn(0..n-1) with a thread pool; results come back in index order."""
-    workers = _thread_workers()
-    if workers == 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+    return min(4, os.cpu_count() or 1)
 
 
 @dataclass
@@ -116,15 +100,7 @@ class MuMeasure:
         bitgen = np.random.Philox(key=self.seed)
         if substream is not None:
             bitgen = bitgen.jumped(substream + 1)
-        return self._draw(np.random.Generator(bitgen), n)
-
-    def sample_alpha(self) -> float:
-        """One draw from the measure's own persistent stream."""
-        if not hasattr(self, "_gen"):
-            self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        return float(self._draw(self._gen, 1)[0])
-
-    def _draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        gen = np.random.Generator(bitgen)
         # rejection in beta under the flat envelope, mapped back by beta^(1/Theta)
         lo, hi = self.rho.support_lo, self.rho.support_hi
         out = np.empty(n, dtype=np.float64)
@@ -142,11 +118,6 @@ class MuMeasure:
     def _accept_rate(self) -> float:
         width = self.rho.support_hi - self.rho.support_lo
         return 1.0 / (width * self._pdf_max)
-
-
-def sample_alpha(mu: MuMeasure) -> float:
-    """One dilate draw, advancing mu's persistent stream."""
-    return mu.sample_alpha()
 
 
 def _check_theta(theta: float, mu: MuMeasure) -> None:
@@ -246,6 +217,21 @@ def _estimate(vals: np.ndarray, samples: int, seed: int) -> MomentEstimate:
                           samples=samples, seed=seed)
 
 
+def _per_sample(theta: float, N: int, mu: MuMeasure, samples: int,
+                fn) -> np.ndarray:
+    """fn(SequenceSpec(theta, alpha_i, N)) for i < samples, alpha_i the
+    first draw of substream i; a thread pool runs them, rows keep order."""
+    def one(i: int):
+        alpha = float(mu.sample_alphas(1, substream=i)[0])
+        return fn(SequenceSpec(theta, alpha, N))
+
+    workers = _thread_workers()
+    if workers == 1 or samples <= 1:
+        return np.array([one(i) for i in range(samples)])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.array(list(pool.map(one, range(samples))))
+
+
 def second_moment_tilde_e(theta: float, N: int, j: int, mu: MuMeasure,
                           samples: int = 256, h: TestKernel | None = None,
                           split: bool = False):
@@ -259,13 +245,11 @@ def second_moment_tilde_e(theta: float, N: int, j: int, mu: MuMeasure,
         h = default_h()
     js = np.array([j], dtype=np.int64)
 
-    def one(i: int):
-        alpha = float(mu.sample_alphas(1, substream=i)[0])
-        spec = SequenceSpec(theta, alpha, N)
+    def one(spec: SequenceSpec):
         abs2, diag, _ = _short_components(spec, h, js)
         return abs2[0], diag[0]
 
-    rows = np.array(_map_indexed(one, samples))
+    rows = _per_sample(theta, N, mu, samples, one)
     total = _estimate(rows[:, 0], samples, mu.seed)
     if split:
         return total, _estimate(rows[:, 1], samples, mu.seed)
@@ -286,11 +270,8 @@ def second_moment_roff(theta: float, N: int, f: TestKernel, h: TestKernel,
     table = FourierTable(f, max_abs_freq=js[-1] / N)
     fv = table.values(js / N).real
 
-    def one(i: int):
-        alpha = float(mu.sample_alphas(1, substream=i)[0])
-        spec = SequenceSpec(theta, alpha, N)
-        parts = _tilde_from_values(spec, h, js, fv)
-        return parts.off_diagonal ** 2
+    def one(spec: SequenceSpec):
+        return _tilde_from_values(spec, h, js, fv).off_diagonal ** 2
 
-    vals = np.array(_map_indexed(one, samples))
-    return _estimate(vals, samples, mu.seed)
+    return _estimate(_per_sample(theta, N, mu, samples, one), samples,
+                     mu.seed)

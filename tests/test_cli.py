@@ -1,11 +1,15 @@
 """Runner contract: configs, exit codes, deterministic serialization."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paircorr.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
-                          main, subsequence)
+                          _load_config, main, subsequence)
 
 
 def test_subsequence_values():
@@ -48,6 +52,12 @@ def test_unknown_experiment_exits_2(tmp_path):
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"bogus_key": 1}))
+    assert main(["gaps", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_undecodable_config_file_exits_2(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b'{"theta": "\xff"}')
     assert main(["gaps", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
@@ -140,3 +150,47 @@ def test_zero_rows_exits_2(tmp_path):
     # theta 0.5, eps 0.05, N 256: no integer u in [0.95, 1.05] * log N
     assert main(["dio", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("experiment, fields", [
+    ("moments", {"seed": "a"}),
+    ("paircorr", {"theta": "0.5"}),
+    ("moments", {"samples": 2.5}),
+    ("paircorr", {"N_list": 300}),
+    ("moments", {"seed": 2 ** 128}),
+])
+def test_config_field_of_wrong_type_exits_2(tmp_path, experiment, fields):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(fields))
+    assert main([experiment, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 300) | st.integers()
+    | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)
+           if f.name != "experiment"]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(experiment=st.sampled_from(EXPERIMENTS),
+       fields=st.fixed_dictionaries({}, optional=dict.fromkeys(_FIELDS,
+                                                             _JSON)))
+def test_config_fuzz_raises_only_config_error(tmp_path_factory, experiment,
+                                              fields):
+    # any JSON value in any field: loading and validating either succeed or
+    # raise ConfigError; no experiment is run
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.json"
+    cfg.write_text(json.dumps(fields))
+    args = argparse.Namespace(experiment=experiment, config=str(cfg),
+                              theta=None, N=None, seed=None, eps=None,
+                              out=None)
+    try:
+        _load_config(args).validate()
+    except ConfigError:
+        pass

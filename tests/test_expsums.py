@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from paircorr.expsums import (SequenceSpec, bprocess_constants, diagonal_w_term,
+from paircorr.expsums import (SequenceSpec, _short_components, _windows,
+                              bprocess_constants, diagonal_w_term,
                               exp_sum_bprocess, exp_sum_direct, exp_sum_pair,
-                              pair_corr_smooth, r_off, s_sum, s_tilde_parts,
+                              pair_corr_smooth, s_sum, s_tilde_parts,
                               stationary_point, stationary_window)
 from paircorr.kernels import TestKernel, fourier, integrate, make_bump
+
+from oracles import r_off_pairs
 
 
 def test_spec_validation():
@@ -109,6 +112,29 @@ def test_short_sum_vanishes_below_threshold(h):
     assert pair.short == 0.0 and pair.m_hi < pair.m_lo
 
 
+def test_short_form_scalar_and_batched_routes_agree(h):
+    # one E~_j against its row of the batched table, empty windows included
+    rng = np.random.default_rng(9)
+    empty = 0
+    for theta in (0.3, 0.5, 0.7):
+        for N in (16, 1000):
+            for _ in range(8):
+                spec = SequenceSpec(theta, float(rng.uniform(1.0, 2.0)), N)
+                j = int(rng.integers(1, int(N ** 1.1)))
+                abs2 = _short_components(spec, h, np.array([j]))[0][0]
+                short = exp_sum_bprocess(spec, h, j)
+                assert abs(short) ** 2 == pytest.approx(abs2, rel=1e-12,
+                                                        abs=1e-300)
+                lo, hi, lens = _windows(spec, np.array([j]))
+                assert stationary_window(spec, j) == (lo[0], hi[0])
+                empty += int(lens[0] == 0)
+            with pytest.raises(ValueError):
+                exp_sum_bprocess(spec, h, 0)
+            with pytest.raises(ValueError):
+                stationary_window(spec, 0)
+    assert empty > 0
+
+
 def test_bprocess_error_law_random_grid(h):
     # ratio |E - E~| sqrt(j) / N^(1-theta/2) over random (alpha, j)
     rng = np.random.default_rng(3)
@@ -165,10 +191,10 @@ def test_pair_corr_smooth_zero_kernels(h):
 def test_r_off_zero_when_windows_have_no_pairs(f, h):
     # at N=16 these alphas leave every stationary window with < 2 indices
     for al in (1.0, 1.5):
-        assert r_off(SequenceSpec(0.5, al, 16), f, h) == 0.0
+        assert r_off_pairs(SequenceSpec(0.5, al, 16), f, h) == 0.0
     # alpha near 2 squeezes a 2-index window in, but one weight sits at the
     # very edge of the h support: tiny, and no longer exactly zero
-    val = r_off(SequenceSpec(0.5, 1.99, 16), f, h)
+    val = r_off_pairs(SequenceSpec(0.5, 1.99, 16), f, h)
     assert val != 0.0 and abs(val) < 1e-10
 
 
@@ -176,8 +202,8 @@ def test_r_off_two_routes_agree(f, h):
     rng = np.random.default_rng(8)
     for _ in range(3):
         spec = SequenceSpec(0.5, float(rng.uniform(1.0, 2.0)), 256)
-        a = r_off(spec, f, h, method="pairs")
-        b = r_off(spec, f, h, method="fourier")
+        a = r_off_pairs(spec, f, h)
+        b = s_tilde_parts(spec, f, h).off_diagonal
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -186,7 +212,7 @@ def test_r_off_matches_smooth_minus_main_term(f, h):
     spec = SequenceSpec(0.5, 1.37, 4096)
     R = pair_corr_smooth(spec, f, h)
     ref = integrate(f) * integrate(h) ** 2
-    ro = r_off(spec, f, h, method="fourier")
+    ro = s_tilde_parts(spec, f, h).off_diagonal
     assert abs(R - ref - ro) <= 0.05
 
 

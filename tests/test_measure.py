@@ -9,8 +9,8 @@ from paircorr._precision import as_ld
 from paircorr.expsums import bprocess_constants
 from paircorr.kernels import make_bump
 from paircorr.measure import (MeasureError, MuMeasure, osc_integral_single,
-                              osc_integral_vec, sample_alpha,
-                              second_moment_roff, second_moment_tilde_e)
+                              osc_integral_vec, second_moment_roff,
+                              second_moment_tilde_e)
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +48,6 @@ def test_sampling_is_reproducible(mu):
     c = mu.sample_alphas(64, substream=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_stateful_single_draws():
-    m1 = MuMeasure(0.5, seed=11)
-    m2 = MuMeasure(0.5, seed=11)
-    seq1 = [sample_alpha(m1) for _ in range(5)]
-    seq2 = [m2.sample_alpha() for _ in range(5)]
-    assert seq1 == seq2
-    assert len(set(seq1)) == 5  # stream advances
 
 
 def test_sample_mean_matches_quadrature(mu):
