@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, _precision
 from .beurling import build_beurling_selberg
 from .diophantine import ResourceGuardError, duq_bound_check
 from .expsums import SequenceSpec, exp_sum_pair
@@ -31,6 +31,10 @@ from .stats import fractional_parts, gap_distribution, pair_corr_count
 
 EXPERIMENTS = ("paircorr", "gaps", "bprocess", "moments", "roff-variance",
                "dio", "bs-check")
+
+
+# each size of a (C, ell_range) subsequence is one more run of the experiment
+_MAX_SIZES = 1000
 
 
 class ConfigError(Exception):
@@ -124,8 +128,14 @@ class ExperimentConfig:
             if self.C < 2:
                 raise ConfigError("subsequence exponent C must be >= 2")
             lo, hi = self.ell_range
-            if not 1 <= lo <= hi:
-                raise ConfigError("ell_range must satisfy 1 <= lo <= hi")
+            if not 2 <= lo <= hi:  # sizes >= 2, as in N_list
+                raise ConfigError("ell_range must satisfy 2 <= lo <= hi")
+            if hi - lo >= _MAX_SIZES:
+                raise ConfigError(f"ell_range gives {hi - lo + 1} sizes; "
+                                  f"at most {_MAX_SIZES} are allowed")
+            if _past_int64(self.C, hi):
+                raise ConfigError(
+                    f"{hi}**{self.C} exceeds the 2^63 size range")
         if self.N_list is not None:
             if not self.N_list or min(self.N_list) < 2:
                 raise ConfigError("N_list entries must be integers >= 2")
@@ -150,13 +160,18 @@ class ExperimentConfig:
         return float(self.tolerances.get(key, default))
 
 
+def _past_int64(C: int, ell: int) -> bool:
+    # C >= 63 decides without forming a huge power
+    return ell > 1 and (C >= 63 or ell ** C >= 2 ** 63)
+
+
 def subsequence(C: int, ell_lo: int, ell_hi: int) -> list[int]:
     """The polynomial test sizes ell**C, deduplicated and ascending."""
     if C < 1:
         raise ValueError("C must be a positive integer")
     if not 1 <= ell_lo <= ell_hi:
         raise ValueError("need 1 <= ell_lo <= ell_hi")
-    if ell_hi ** C >= 2 ** 63:
+    if _past_int64(C, ell_hi):
         raise OverflowError(
             f"{ell_hi}**{C} exceeds the 2^63 size range")
     return sorted({ell ** C for ell in range(ell_lo, ell_hi + 1)})
@@ -342,6 +357,10 @@ def run(config: ExperimentConfig) -> dict:
     varies between identically-configured runs.
     """
     config.validate()
+    if _precision.LD_NMANT < 63:
+        raise ConfigError(
+            f"long double has {_precision.LD_NMANT} mantissa bits; the "
+            "phase reductions need at least 63")
     t0 = time.time()
     rows = _RUNNERS[config.experiment](config)
     if not rows:
@@ -359,6 +378,7 @@ def run(config: ExperimentConfig) -> dict:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "paircorr": __version__,
+            "longdouble_nmant": _precision.LD_NMANT,
         },
         "timestamp": {
             "started": datetime.datetime.now(datetime.timezone.utc)

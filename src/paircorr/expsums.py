@@ -155,9 +155,11 @@ def _short_terms(spec: SequenceSpec, h: TestKernel, js: np.ndarray):
     Term k belongs to js[rep[k]] and to one m of its window, and
     E~_j = c1 (alpha*j)**(Theta/2) * sum_k amp_k e(ph_k) over its terms,
     with amp = m**(-(Theta+1)/2) h(x_m/N) and ph the reduced phase.
-    Shared long-double tables: A_j = (alpha*j)**Theta per j and
-    B_m = m**(1-Theta) per m in the union of the windows; the phase of the
-    (j, m) term is c2 * A_j * B_m, so no per-pair transcendentals are needed.
+    Shared tables: c2 * A_j with A_j = (alpha*j)**Theta per j, and
+    B_m = m**(1-Theta) (long double) and m**(-(Theta+1)/2) (float64) per m
+    in the union of the windows; the phase of the (j, m) term is
+    (c2 * A_j) * B_m and its m-weight is a gather, so neither takes a
+    per-term power.
     Returns (rep, amp, ph, (lo, hi, lens)).
     """
     TH = spec.Theta
@@ -168,14 +170,15 @@ def _short_terms(spec: SequenceSpec, h: TestKernel, js: np.ndarray):
         return np.zeros(0, np.int64), np.zeros(0), np.zeros(0), windows
     rep, m = _flatten_windows(lo, lens)
     m_base = int(m.min())
-    btab = _pow_ld(np.arange(m_base, int(m.max()) + 1), 1.0 - TH)
-    a_ld = np.power(as_ld(al) * as_ld(js), LD(TH))
+    ms = np.arange(m_base, int(m.max()) + 1)
+    btab = _pow_ld(ms, 1.0 - TH)
+    ptab = ms.astype(np.float64) ** (-(TH + 1.0) / 2.0)
     th_ld = LD(th)
     c2_ld = np.power(th_ld, LD(TH - 1.0)) - np.power(th_ld, LD(TH))
-    ph = frac(c2_ld * a_ld[rep] * btab[m - m_base])
-    mf = m.astype(np.float64)
-    xm = (th * al * js.astype(np.float64)[rep] / mf) ** TH
-    amp = mf ** (-(TH + 1.0) / 2.0) * h(xm / N)
+    ca_ld = c2_ld * np.power(as_ld(al) * as_ld(js), LD(TH))
+    ph = frac(ca_ld[rep] * btab[m - m_base])
+    xm = (th * al * js.astype(np.float64)[rep] / m.astype(np.float64)) ** TH
+    amp = ptab[m - m_base] * h(xm / N)
     return rep, amp, ph, windows
 
 

@@ -4,10 +4,12 @@ import argparse
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paircorr import _precision, cli
 from paircorr.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                           _load_config, main, subsequence)
 
@@ -165,6 +167,38 @@ def test_config_field_of_wrong_type_exits_2(tmp_path, experiment, fields):
     assert main([experiment, "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("C, ell_range", [
+    (2, [2, 10**9]),          # 10^9 sizes
+    (2, [1, 3]),              # N = 1 has no gaps
+    (2, [2**40, 2**40]),      # one size past 2^63
+    (10**9, [2, 3]),          # past 2^63 without forming 2**(10**9)
+])
+def test_subsequence_out_of_range_exits_2(tmp_path, monkeypatch, C,
+                                          ell_range):
+    def never(*args):
+        raise AssertionError("the size list must not be built")
+
+    monkeypatch.setattr(cli, "subsequence", never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"C": C, "ell_range": ell_range}))
+    assert main(["gaps", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_short_long_double_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(_precision, "LD_NMANT", 52)
+    assert main(["gaps", "--N", "64", "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_records_long_double_bits(tmp_path):
+    assert main(["bprocess", "--N", "100", "--out", str(tmp_path)]) in (0, 1)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["versions"]["longdouble_nmant"]
+            == np.finfo(np.longdouble).nmant)
 
 
 _JSON = st.recursive(
