@@ -14,18 +14,18 @@ from .diophantine import (DioInstance, ResourceGuardError, ZMultiset,
                           count_zdiag, dio_instance, dirichlet_D,
                           dirichlet_P, duq_bound_check, robert_sargos_count,
                           twisted_second_moment)
-from .expsums import (BProcessConstants, DiagonalTerm, ExpSumPair,
-                      SequenceSpec, TildeDecomposition, bprocess_constants,
-                      diagonal_w_term, exp_sum_bprocess, exp_sum_direct,
-                      exp_sum_pair, pair_corr_smooth, s_sum,
-                      s_tilde_parts, stationary_point, stationary_window)
+from .expsums import (BProcessConstants, ExpSumPair, SequenceSpec,
+                      TildeDecomposition, bprocess_constants,
+                      exp_sum_bprocess, exp_sum_direct, exp_sum_pair,
+                      pair_corr_smooth, s_sum, s_tilde_parts,
+                      stationary_point, stationary_window)
 from .kernels import (DegenerateKernelError, FourierTable, KernelError,
                       TestKernel, default_f, default_h, default_rho,
                       fourier, integrate, make_bump, normalize_rho,
                       periodize)
 from .measure import (MeasureError, MomentEstimate, MuMeasure,
-                      osc_integral_single, osc_integral_vec,
-                      second_moment_roff, second_moment_tilde_e)
+                      osc_integral_single, second_moment_roff,
+                      second_moment_tilde_e)
 from .stats import (GapHistogram, PairCorrEstimate, PointSet,
                     fractional_parts, gap_distribution, pair_corr_count,
                     uniform_points)
@@ -37,7 +37,6 @@ __all__ = [
     "BeurlingConstructionError",
     "BeurlingSelberg",
     "DegenerateKernelError",
-    "DiagonalTerm",
     "DioInstance",
     "ExpSumPair",
     "FourierTable",
@@ -63,7 +62,6 @@ __all__ = [
     "default_f",
     "default_h",
     "default_rho",
-    "diagonal_w_term",
     "dio_instance",
     "dirichlet_D",
     "dirichlet_P",
@@ -78,7 +76,6 @@ __all__ = [
     "make_bump",
     "normalize_rho",
     "osc_integral_single",
-    "osc_integral_vec",
     "pair_corr_count",
     "pair_corr_smooth",
     "periodize",

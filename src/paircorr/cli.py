@@ -139,6 +139,8 @@ class ExperimentConfig:
         if self.N_list is not None:
             if not self.N_list or min(self.N_list) < 2:
                 raise ConfigError("N_list entries must be integers >= 2")
+            if self.experiment == "dio" and min(self.N_list) < 4:
+                raise ConfigError("dio needs N >= 4")  # duq_bound_check's
         if self.bins < 1:
             raise ConfigError("bins must be a positive integer")
         if self.samples is not None and self.samples < 2:
@@ -447,7 +449,8 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args)
         config.validate()
         report = run(config)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
+        # a ValueError from inside run is an input that validate let through
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceGuardError as exc:

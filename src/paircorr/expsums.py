@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._precision import LD, as_ld, csum, e_frac, frac
-from .kernels import FourierTable, TestKernel, integrate, periodize
+from .kernels import FourierTable, TestKernel, periodize
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,37 @@ class SequenceSpec:
             raise ValueError("alpha must lie in [1, 2]")
         if self.N < 2:
             raise ValueError("N must be at least 2")
+
+    @property
+    def Theta(self) -> float:
+        return 1.0 / (1.0 - self.theta)
+
+    @property
+    def alphas(self) -> np.ndarray:
+        """The dilate as a block of one (see DilateBlock)."""
+        return np.array([self.alpha])
+
+
+@dataclass(frozen=True, eq=False)
+class DilateBlock:
+    """Many dilates sharing theta and N, for the short-form routines.
+
+    Those routines take a block wherever they take a SequenceSpec (a block
+    of one) and return one row per (dilate, j) pair, dilate-major.
+    """
+
+    theta: float
+    alphas: np.ndarray
+    N: int
+
+    def __post_init__(self):
+        alphas = np.asarray(self.alphas, dtype=np.float64)
+        if alphas.ndim != 1:
+            raise ValueError("alphas must be a 1-d array")
+        SequenceSpec(self.theta, 1.0, self.N)  # checks theta and N
+        if not ((alphas >= 1.0) & (alphas <= 2.0)).all():
+            raise ValueError("alpha must lie in [1, 2]")
+        object.__setattr__(self, "alphas", alphas)
 
     @property
     def Theta(self) -> float:
@@ -124,16 +155,17 @@ def stationary_window(spec: SequenceSpec, j: int) -> tuple[int, int]:
     return int(lo[0]), int(hi[0])
 
 
-def _windows(spec: SequenceSpec, js: np.ndarray):
-    """Per-j inclusive m-windows (lo, hi) and their lengths.
+def _windows(spec, js: np.ndarray):
+    """Inclusive m-windows (lo, hi) and their lengths, one per (dilate, j)
+    pair of spec (a SequenceSpec or a DilateBlock), dilate-major.
 
     Endpoints carry zero weight (h vanishes there), so the 1e-12 nudges only
     guard against ties rounding the wrong way.
     """
-    th, al, N = spec.theta, spec.alpha, spec.N
-    jsf = js.astype(np.float64)
-    lo = np.ceil(th * al * jsf * (2.0 * N) ** (th - 1.0) * (1.0 - 1e-12))
-    hi = np.floor(th * al * jsf * float(N) ** (th - 1.0) * (1.0 + 1e-12))
+    th, N = spec.theta, spec.N
+    taj = np.multiply.outer(th * spec.alphas, js.astype(np.float64)).ravel()
+    lo = np.ceil(taj * (2.0 * N) ** (th - 1.0) * (1.0 - 1e-12))
+    hi = np.floor(taj * float(N) ** (th - 1.0) * (1.0 + 1e-12))
     lo = np.maximum(lo, 1.0).astype(np.int64)
     hi = hi.astype(np.int64)
     lens = np.maximum(hi - lo + 1, 0)
@@ -149,21 +181,24 @@ def _flatten_windows(lo, lens):
     return rep, m
 
 
-def _short_terms(spec: SequenceSpec, h: TestKernel, js: np.ndarray):
+def _short_terms(spec, h: TestKernel, js: np.ndarray):
     """The stationary-phase terms of every E~_j, j in js, in one table.
 
-    Term k belongs to js[rep[k]] and to one m of its window, and
-    E~_j = c1 (alpha*j)**(Theta/2) * sum_k amp_k e(ph_k) over its terms,
-    with amp = m**(-(Theta+1)/2) h(x_m/N) and ph the reduced phase.
-    Shared tables: c2 * A_j with A_j = (alpha*j)**Theta per j, and
+    spec is a SequenceSpec or a DilateBlock.  Term k belongs to pair
+    rep[k], the (dilate, j) pair (alphas[rep // J], js[rep % J]) with
+    J = len(js), and to one m of that pair's window; over its terms,
+    E~_j = c1 (alpha*j)**(Theta/2) * sum_k amp_k e(ph_k), with
+    amp = m**(-(Theta+1)/2) h(x_m/N) and ph the reduced phase.
+    Shared tables: c2 * A with A = (alpha*j)**Theta per pair, and
     B_m = m**(1-Theta) (long double) and m**(-(Theta+1)/2) (float64) per m
-    in the union of the windows; the phase of the (j, m) term is
-    (c2 * A_j) * B_m and its m-weight is a gather, so neither takes a
-    per-term power.
-    Returns (rep, amp, ph, (lo, hi, lens)).
+    in the union of the windows; the phase of a term is (c2 * A) * B_m and
+    its m-weight is a gather, so neither takes a per-term power.  Every
+    term is computed elementwise, so a pair's terms have the same bits in
+    a block as alone.
+    Returns (rep, amp, ph, (lo, hi, lens)), windows per pair.
     """
     TH = spec.Theta
-    th, al, N = spec.theta, spec.alpha, spec.N
+    th, N = spec.theta, spec.N
     windows = _windows(spec, js)
     lo, _, lens = windows
     if not lens.any():
@@ -173,25 +208,29 @@ def _short_terms(spec: SequenceSpec, h: TestKernel, js: np.ndarray):
     ms = np.arange(m_base, int(m.max()) + 1)
     btab = _pow_ld(ms, 1.0 - TH)
     ptab = ms.astype(np.float64) ** (-(TH + 1.0) / 2.0)
+    taj = np.multiply.outer(th * spec.alphas, js.astype(np.float64)).ravel()
+    xm = (taj[rep] / m.astype(np.float64)) ** TH
+    amp = ptab[m - m_base] * h(xm / N)
+    del xm  # before the long-double temporaries of the phase
     th_ld = LD(th)
     c2_ld = np.power(th_ld, LD(TH - 1.0)) - np.power(th_ld, LD(TH))
-    ca_ld = c2_ld * np.power(as_ld(al) * as_ld(js), LD(TH))
+    aj_ld = np.multiply.outer(as_ld(spec.alphas), as_ld(js)).ravel()
+    ca_ld = c2_ld * np.power(aj_ld, LD(TH))
     ph = frac(ca_ld[rep] * btab[m - m_base])
-    xm = (th * al * js.astype(np.float64)[rep] / m.astype(np.float64)) ** TH
-    amp = ptab[m - m_base] * h(xm / N)
     return rep, amp, ph, windows
 
 
-def _short_components(spec: SequenceSpec, h: TestKernel, js: np.ndarray):
-    """Per-j short-form data: |E~_j|^2 and its diagonal (n = m) part."""
-    J = len(js)
+def _short_components(spec, h: TestKernel, js: np.ndarray):
+    """Per-pair short-form data: |E~_j|^2 and its diagonal (n = m) part,
+    one entry per (dilate, j) pair of spec, dilate-major."""
     rep, amp, ph, windows = _short_terms(spec, h, js)
-    pref = (abs(bprocess_constants(spec.theta).c1) ** 2
-            * (spec.alpha * js.astype(np.float64)) ** spec.Theta)
+    aj = np.multiply.outer(spec.alphas, js.astype(np.float64)).ravel()
+    pref = abs(bprocess_constants(spec.theta).c1) ** 2 * aj ** spec.Theta
+    P = aj.size
     vals = amp * e_frac(ph)
-    sr = np.bincount(rep, weights=vals.real, minlength=J)
-    si = np.bincount(rep, weights=vals.imag, minlength=J)
-    dg = np.bincount(rep, weights=amp * amp, minlength=J)
+    sr = np.bincount(rep, weights=vals.real, minlength=P)
+    si = np.bincount(rep, weights=vals.imag, minlength=P)
+    dg = np.bincount(rep, weights=amp * amp, minlength=P)
     return pref * (sr ** 2 + si ** 2), pref * dg, windows
 
 
@@ -270,15 +309,23 @@ class TildeDecomposition:
     j_hi: int
 
 
-def _tilde_from_values(spec: SequenceSpec, h: TestKernel, js: np.ndarray,
-                       f_values: np.ndarray) -> TildeDecomposition:
-    """S~ assembly once the transform values over the band are in hand."""
+def _tilde_from_values(spec, h: TestKernel, js: np.ndarray,
+                       f_values: np.ndarray) -> list[TildeDecomposition]:
+    """S~ assembly once the transform values over the band are in hand,
+    one decomposition per dilate of spec (a SequenceSpec or a DilateBlock).
+
+    The sums over j are exactly rounded (math.fsum): a threaded BLAS dot
+    here would spin idle workers on every call.
+    """
     abs2, diag, _ = _short_components(spec, h, js)
     scale = 2.0 / spec.N ** 2
-    total = float(scale * np.dot(f_values, abs2))
-    diagonal = float(scale * np.dot(f_values, diag))
-    return TildeDecomposition(total, diagonal, total - diagonal,
-                              int(js[0]), int(js[-1]))
+    parts = []
+    for a2, dg in zip(abs2.reshape(-1, len(js)), diag.reshape(-1, len(js))):
+        total = scale * math.fsum((f_values * a2).tolist())
+        diagonal = scale * math.fsum((f_values * dg).tolist())
+        parts.append(TildeDecomposition(total, diagonal, total - diagonal,
+                                        int(js[0]), int(js[-1])))
+    return parts
 
 
 def s_tilde_parts(spec: SequenceSpec, f: TestKernel, h: TestKernel,
@@ -289,7 +336,7 @@ def s_tilde_parts(spec: SequenceSpec, f: TestKernel, h: TestKernel,
         return TildeDecomposition(0.0, 0.0, 0.0, 0, -1)
     table = FourierTable(f, max_abs_freq=js[-1] / spec.N)
     fv = table.values(js / spec.N).real
-    return _tilde_from_values(spec, h, js, fv)
+    return _tilde_from_values(spec, h, js, fv)[0]
 
 
 def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
@@ -335,33 +382,3 @@ def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     # f(N d) + f(-N d), exact because N(1 - d) clears the support of f
     vals = hs[left] * ext_h[right] * (f(N * d) + f(-N * d))
     return float(vals.sum() / N)
-
-
-@dataclass(frozen=True)
-class DiagonalTerm:
-    """Diagonal n-sum at scale W against its first-order evaluation.
-
-    regime_warning flags W < 4, where so few lattice points hit the window
-    that the first-order comparison is not meaningful.
-    """
-
-    value: float
-    main_term: float
-    W: float
-    n_count: int
-    regime_warning: bool = False
-
-
-def diagonal_w_term(spec: SequenceSpec, j: int, h: TestKernel) -> DiagonalTerm:
-    """sum_n n^{-(Theta+1)} h(W/n^Theta)^2 versus (1-theta) int(h^2) / W,
-    where W = (theta*alpha*j)^Theta / N."""
-    TH = spec.Theta
-    W = (spec.theta * spec.alpha * j) ** TH / spec.N
-    n_lo = max(1, int(math.floor((W / h.support_hi) ** (1.0 / TH))))
-    n_hi = int(math.ceil((W / h.support_lo) ** (1.0 / TH))) + 1
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    vals = ns ** (-(TH + 1.0)) * h(W / ns ** TH) ** 2
-    main = (1.0 - spec.theta) * integrate(h, weight=lambda x: h(x)) / W
-    return DiagonalTerm(value=float(vals.sum()), main_term=float(main),
-                        W=float(W), n_count=int((vals > 0).sum()),
-                        regime_warning=bool(W < 4.0))

@@ -15,15 +15,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._precision import LD, as_ld
-from .expsums import (SequenceSpec, _short_components, _tilde_from_values,
-                      bprocess_constants, _band, _pow_ld)
+from .expsums import (DilateBlock, SequenceSpec, _short_components,
+                      _tilde_from_values, _windows, bprocess_constants,
+                      _band, _pow_ld)
 from .kernels import (FourierTable, TestKernel, _gl_grid, default_h,
                       default_rho, integrate)
 
 
 class MeasureError(Exception):
     """The supplied density cannot serve as an averaging measure."""
+
+
+# candidates in a first rejection round of sample_alphas
+_FIRST_ROUND = 64
+# short-form terms per block of dilates.  An N = 2**14 sample alone holds
+# 3.7e5 to 4.8e5 (theta = 1/2, eps = 0.05) and sets the peak memory; blocks
+# of 2**16 stay far below it, and larger ones ran no faster (2-vCPU x86).
+_BLOCK_TERMS = 1 << 16
 
 
 def _thread_workers() -> int:
@@ -106,7 +114,8 @@ class MuMeasure:
         out = np.empty(n, dtype=np.float64)
         got = 0
         while got < n:
-            want = max(64, int(1.5 * (n - got) / max(self._accept_rate(), 0.05)))
+            want = max(_FIRST_ROUND,
+                       int(1.5 * (n - got) / max(self._accept_rate(), 0.05)))
             beta = gen.uniform(lo, hi, size=want)
             height = gen.uniform(0.0, self._pdf_max, size=want)
             kept = beta[height <= self.pdf_beta(beta)]
@@ -114,6 +123,33 @@ class MuMeasure:
             out[got:got + take] = kept[:take]
             got += take
         return out ** (1.0 / self.Theta)
+
+    def first_draws(self, n: int) -> np.ndarray:
+        """sample_alphas(1, substream=i)[0] for i < n, in one call.
+
+        A single draw takes one round of _FIRST_ROUND candidates (the rate
+        floor in sample_alphas keeps the round at that size), so each
+        substream's round is replayed here and the accept test runs over
+        all rounds at once.  A substream none of whose candidates is
+        accepted falls back to sample_alphas itself.
+        """
+        lo, hi = self.rho.support_lo, self.rho.support_hi
+        bitgen = np.random.Philox(key=self.seed)
+        start = bitgen.state
+        gen = np.random.Generator(bitgen)
+        beta = np.empty((n, _FIRST_ROUND))
+        height = np.empty((n, _FIRST_ROUND))
+        for i in range(n):
+            # the state of Philox(key=seed).jumped(i + 1), with no new object
+            bitgen.state = start
+            bitgen.advance((i + 1) << 128)
+            beta[i] = gen.uniform(lo, hi, size=_FIRST_ROUND)
+            height[i] = gen.uniform(0.0, self._pdf_max, size=_FIRST_ROUND)
+        kept = height <= self.pdf_beta(beta)
+        out = beta[np.arange(n), kept.argmax(axis=1)] ** (1.0 / self.Theta)
+        for i in np.flatnonzero(~kept.any(axis=1)):
+            out[i] = self.sample_alphas(1, substream=int(i))[0]
+        return out
 
     def _accept_rate(self) -> float:
         width = self.rho.support_hi - self.rho.support_lo
@@ -166,40 +202,6 @@ def osc_integral_single(theta: float, N: int, j: int, m: int, n: int,
     return complex(np.dot(amp * wts, np.exp(2j * np.pi * freq * nodes)))
 
 
-def osc_integral_vec(theta: float, N: int, j1: int, j2: int,
-                     m1: int, n1: int, m2: int, n2: int,
-                     mu: MuMeasure, h: TestKernel | None = None,
-                     node_factor: int = 8) -> complex:
-    """Averaged quadruple term: two pair phases beating against each other.
-
-    The frequency is c2 (j1^Theta z1 - j2^Theta z2); the two big products
-    are differenced in long double before being handed to quadrature, since
-    near-diagonal quadruples cancel to many digits.  The amplitude carries
-    the beta weight of mean-square averages: beta rho(beta) times the four
-    window factors.
-    """
-    _check_theta(theta, mu)
-    if h is None:
-        h = default_h()
-    Theta = mu.Theta
-    c2 = bprocess_constants(theta).c2
-    TH_LD = LD(Theta)
-    one_m = LD(1.0) - TH_LD
-    prod1 = np.power(as_ld(j1), TH_LD) * (
-        np.power(as_ld(m1), one_m) - np.power(as_ld(n1), one_m))
-    prod2 = np.power(as_ld(j2), TH_LD) * (
-        np.power(as_ld(m2), one_m) - np.power(as_ld(n2), one_m))
-    freq = c2 * float(prod1 - prod2)
-    scales = [_stationary_scale(theta, N, j1, m1), _stationary_scale(theta, N, j1, n1),
-              _stationary_scale(theta, N, j2, m2), _stationary_scale(theta, N, j2, n2)]
-    nodes, wts = _osc_panels(mu.rho.support_lo, mu.rho.support_hi, freq,
-                             node_factor)
-    amp = nodes * mu.rho(nodes)
-    for s in scales:
-        amp = amp * h(nodes * s)
-    return complex(np.dot(amp * wts, np.exp(2j * np.pi * freq * nodes)))
-
-
 @dataclass(frozen=True)
 class MomentEstimate:
     """Monte Carlo estimate with its standard error and provenance."""
@@ -217,19 +219,50 @@ def _estimate(vals: np.ndarray, samples: int, seed: int) -> MomentEstimate:
                           samples=samples, seed=seed)
 
 
-def _per_sample(theta: float, N: int, mu: MuMeasure, samples: int,
-                fn) -> np.ndarray:
-    """fn(SequenceSpec(theta, alpha_i, N)) for i < samples, alpha_i the
-    first draw of substream i; a thread pool runs them, rows keep order."""
-    def one(i: int):
-        alpha = float(mu.sample_alphas(1, substream=i)[0])
-        return fn(SequenceSpec(theta, alpha, N))
+def _term_counts(theta: float, N: int, alphas: np.ndarray,
+                 js: np.ndarray) -> np.ndarray:
+    """Short-form terms over js per dilate, from the window lengths alone;
+    a few dilates at a time, so the (dilate, j) table stays small."""
+    step = max(1, _BLOCK_TERMS // len(js))
+    return np.concatenate([
+        _windows(DilateBlock(theta, alphas[i:i + step], N), js)[2]
+        .reshape(-1, len(js)).sum(axis=1)
+        for i in range(0, len(alphas), step)])
 
+
+def _block_bounds(counts: np.ndarray, workers: int) -> list[int]:
+    """Cuts between consecutive samples, so that each block holds at most
+    _BLOCK_TERMS terms (a bigger sample goes alone) and about
+    1/workers of all terms, which gives every worker a block when the
+    counts allow."""
+    cap = min(_BLOCK_TERMS, -(-int(counts.sum()) // workers))
+    bounds, held = [0], 0
+    for i, c in enumerate(counts.tolist()):
+        if held and held + c > cap:
+            bounds.append(i)
+            held = 0
+        held += c
+    bounds.append(len(counts))
+    return bounds
+
+
+def _per_block(theta: float, N: int, mu: MuMeasure, samples: int,
+               js: np.ndarray, fn) -> np.ndarray:
+    """fn(DilateBlock) over blocks of consecutive samples, its rows joined
+    in sample order; sample i's dilate is the first draw of substream i.
+
+    Blocks are cut by their short-form term count over js, read from the
+    window lengths before any term is built; a thread pool runs them.
+    """
+    alphas = mu.first_draws(samples)
     workers = _thread_workers()
-    if workers == 1 or samples <= 1:
-        return np.array([one(i) for i in range(samples)])
+    bounds = _block_bounds(_term_counts(theta, N, alphas, js), workers)
+    blocks = [DilateBlock(theta, alphas[a:b], N)
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    if workers == 1 or len(blocks) == 1:
+        return np.concatenate([fn(b) for b in blocks])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(one, range(samples))))
+        return np.concatenate(list(pool.map(fn, blocks)))
 
 
 def second_moment_tilde_e(theta: float, N: int, j: int, mu: MuMeasure,
@@ -245,11 +278,11 @@ def second_moment_tilde_e(theta: float, N: int, j: int, mu: MuMeasure,
         h = default_h()
     js = np.array([j], dtype=np.int64)
 
-    def one(spec: SequenceSpec):
-        abs2, diag, _ = _short_components(spec, h, js)
-        return abs2[0], diag[0]
+    def block(b: DilateBlock):
+        abs2, diag, _ = _short_components(b, h, js)
+        return np.stack([abs2, diag], axis=1)
 
-    rows = _per_sample(theta, N, mu, samples, one)
+    rows = _per_block(theta, N, mu, samples, js, block)
     total = _estimate(rows[:, 0], samples, mu.seed)
     if split:
         return total, _estimate(rows[:, 1], samples, mu.seed)
@@ -270,8 +303,8 @@ def second_moment_roff(theta: float, N: int, f: TestKernel, h: TestKernel,
     table = FourierTable(f, max_abs_freq=js[-1] / N)
     fv = table.values(js / N).real
 
-    def one(spec: SequenceSpec):
-        return _tilde_from_values(spec, h, js, fv).off_diagonal ** 2
+    def block(b: DilateBlock):
+        return [t.off_diagonal ** 2 for t in _tilde_from_values(b, h, js, fv)]
 
-    return _estimate(_per_sample(theta, N, mu, samples, one), samples,
+    return _estimate(_per_block(theta, N, mu, samples, js, block), samples,
                      mu.seed)

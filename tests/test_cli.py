@@ -148,6 +148,24 @@ def test_roff_variance_too_few_samples_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_dio_below_its_smallest_size_exits_2(tmp_path, N):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="dio", N_list=[N]).validate()
+    assert main(["dio", "--N", str(N), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_value_error_inside_run_exits_2(tmp_path, monkeypatch, capsys):
+    def refuse(cfg):
+        raise ValueError("no such regime")
+
+    monkeypatch.setitem(cli._RUNNERS, "gaps", refuse)
+    assert main(["gaps", "--N", "64", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: no such regime\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_rows_exits_2(tmp_path):
     # theta 0.5, eps 0.05, N 256: no integer u in [0.95, 1.05] * log N
     assert main(["dio", "--out", str(tmp_path)]) == 2

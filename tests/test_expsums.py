@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from paircorr.expsums import (SequenceSpec, _short_components, _windows,
-                              bprocess_constants, diagonal_w_term,
+from paircorr._precision import csum, e_frac
+from paircorr.expsums import (DilateBlock, SequenceSpec, _short_components,
+                              _short_terms, _windows, bprocess_constants,
                               exp_sum_bprocess, exp_sum_direct, exp_sum_pair,
                               pair_corr_smooth, s_sum, s_tilde_parts,
                               stationary_point, stationary_window)
 from paircorr.kernels import TestKernel, fourier, integrate, make_bump
 
-from oracles import r_off_pairs
+from oracles import diagonal_w_term, r_off_pairs
 
 
 def test_spec_validation():
@@ -241,3 +242,46 @@ def test_diagonal_w_term_zero_kernel():
     zero_h = TestKernel(1.0, 2.0, lambda x: np.zeros_like(x))
     d = diagonal_w_term(SequenceSpec(0.5, 1.0, 10**3), 2000, zero_h)
     assert d.value == 0.0 and d.main_term == 0.0
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("N", [16, 1000, 2 ** 12])
+def test_block_of_dilates_keeps_each_samples_bits(h, theta, N):
+    # a block's rows against one SequenceSpec per dilate, compared by bytes
+    rng = np.random.default_rng(int(1000 * theta) + N)
+    alphas = np.concatenate(([1.0, 2.0], rng.uniform(1.0, 2.0, size=4)))
+    js = np.unique(np.concatenate((
+        [1, 2], rng.integers(1, int(N ** 1.1) + 2, size=40))))
+    J = len(js)
+    block = DilateBlock(theta, alphas, N)
+    abs2, diag, (lo, hi, lens) = _short_components(block, h, js)
+    rep, amp, ph, _ = _short_terms(block, h, js)
+    assert abs2.shape == diag.shape == lens.shape == (len(alphas) * J,)
+    assert (lens == 0).any() and (lens > 0).any()
+    c1 = bprocess_constants(theta).c1
+    for d, alpha in enumerate(alphas):
+        spec = SequenceSpec(theta, float(alpha), N)
+        rows = slice(d * J, (d + 1) * J)
+        one_abs2, one_diag, (one_lo, one_hi, _) = _short_components(
+            spec, h, js)
+        assert abs2[rows].tobytes() == one_abs2.tobytes()
+        assert diag[rows].tobytes() == one_diag.tobytes()
+        for k, j in enumerate(js.tolist()):
+            p = d * J + k
+            assert stationary_window(spec, j) == (lo[p], hi[p])
+            assert (one_lo[k], one_hi[k]) == (lo[p], hi[p])
+            mine = rep == p
+            short = (c1 * (spec.alpha * j) ** (spec.Theta / 2.0)
+                     * csum(amp[mine] * e_frac(ph[mine])))
+            assert (np.complex128(short).tobytes()
+                    == np.complex128(exp_sum_bprocess(spec, h, j)).tobytes())
+
+
+def test_block_of_dilates_validation():
+    with pytest.raises(ValueError):
+        DilateBlock(0.5, np.array([1.0, 2.5]), 100)
+    with pytest.raises(ValueError):
+        DilateBlock(1.5, np.array([1.0]), 100)
+    with pytest.raises(ValueError):
+        DilateBlock(0.5, np.ones((2, 2)), 100)
+    assert SequenceSpec(0.5, 1.25, 100).alphas.tolist() == [1.25]

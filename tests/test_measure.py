@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from paircorr import measure
 from paircorr._precision import as_ld
-from paircorr.expsums import bprocess_constants
-from paircorr.kernels import make_bump
+from paircorr.expsums import SequenceSpec, _band, bprocess_constants
+from paircorr.kernels import FourierTable, default_h, make_bump
 from paircorr.measure import (MeasureError, MuMeasure, osc_integral_single,
-                              osc_integral_vec, second_moment_roff,
-                              second_moment_tilde_e)
+                              second_moment_roff, second_moment_tilde_e)
+
+from oracles import moments_per_sample, osc_integral_vec
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +199,89 @@ def test_moment_estimate_stderr_definition(mu):
     vals = np.array(vals)
     assert est.value == pytest.approx(float(vals.mean()), rel=1e-12)
     assert est.stderr == pytest.approx(float(vals.std(ddof=1) / 8.0), rel=1e-12)
+
+
+def test_first_draws_replay_single_draws():
+    mu = MuMeasure(0.5, seed=2024)
+    one = np.array([mu.sample_alphas(1, substream=i)[0] for i in range(300)])
+    assert mu.first_draws(300).tobytes() == one.tobytes()
+    # substream 7 by hand: the Philox stream jumped 8 times from the seed,
+    # 64 candidates, then 64 heights; the first candidate under the density
+    gen = np.random.Generator(np.random.Philox(key=2024).jumped(8))
+    beta = gen.uniform(mu.rho.support_lo, mu.rho.support_hi, size=64)
+    height = gen.uniform(0.0, mu._pdf_max, size=64)
+    first = beta[height <= mu.pdf_beta(beta)][0]
+    assert one[7] == first ** (1.0 / mu.Theta)
+
+
+def test_first_draws_fall_back_when_a_round_rejects_all(monkeypatch):
+    # a 50x envelope accepts about 1.2% of candidates: roughly half of the
+    # first rounds of 64 keep nothing and go through sample_alphas
+    mu = MuMeasure(0.5, seed=5)
+    mu._pdf_max *= 50.0
+    one = np.array([mu.sample_alphas(1, substream=i)[0] for i in range(40)])
+    calls = []
+    original = MuMeasure.sample_alphas
+
+    def counted(self, n, substream=None):
+        calls.append(substream)
+        return original(self, n, substream)
+
+    monkeypatch.setattr(MuMeasure, "sample_alphas", counted)
+    assert mu.first_draws(40).tobytes() == one.tobytes()
+    assert 0 < len(calls) < 40
+
+
+def test_block_bounds_cap_and_spread(monkeypatch):
+    counts = np.full(2000, 50)
+    for workers in (1, 2, 4):
+        bounds = measure._block_bounds(counts, workers)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == 2000 and (sizes > 0).all()
+        assert len(sizes) >= workers
+    big = np.array([10, measure._BLOCK_TERMS + 1, 3, 4])
+    bounds = measure._block_bounds(big, 2)
+    held = [int(big[a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert all(t <= measure._BLOCK_TERMS or b - a == 1
+               for t, a, b in zip(held, bounds[:-1], bounds[1:]))
+    assert measure._block_bounds(np.zeros(5, np.int64), 2) == [0, 5]
+
+
+def test_moments_do_not_depend_on_the_blocks(monkeypatch, f, h):
+    # one block per sample on one thread against the default cut
+    mu = MuMeasure(0.5, seed=17)
+    ref = (second_moment_tilde_e(0.5, 10**4, 2 * 10**4, mu, samples=64,
+                                 split=True),
+           second_moment_roff(0.5, 1024, f, h, 0.05, mu, samples=100))
+    monkeypatch.setattr(measure, "_BLOCK_TERMS", 1)
+    monkeypatch.setattr(measure, "_thread_workers", lambda: 1)
+    got = (second_moment_tilde_e(0.5, 10**4, 2 * 10**4, mu, samples=64,
+                                 split=True),
+           second_moment_roff(0.5, 1024, f, h, 0.05, mu, samples=100))
+    assert got == ref
+
+
+@pytest.mark.parametrize("N, j", [(10**4, 2 * 10**4), (2048, 2048)])
+def test_second_moment_tilde_e_matches_per_sample_oracle(N, j):
+    mu = MuMeasure(0.5, seed=31)
+    h = default_h()
+    total, diag = second_moment_tilde_e(0.5, N, j, mu, samples=200, h=h,
+                                        split=True)
+    rows = moments_per_sample(0.5, N, mu, 200, h, np.array([j]))
+    for est, col in ((total, rows[:, 0]), (diag, rows[:, 1])):
+        assert est.value > 0.0
+        assert est.value == pytest.approx(col.mean(), rel=1e-12)
+        assert est.stderr == pytest.approx(col.std(ddof=1) / math.sqrt(200),
+                                           rel=1e-12)
+
+
+def test_second_moment_roff_matches_per_sample_oracle(f, h):
+    N = 512
+    mu = MuMeasure(0.5, seed=47)
+    est = second_moment_roff(0.5, N, f, h, 0.05, mu, samples=100)
+    js = _band(SequenceSpec(0.5, 1.0, N), 0.05)
+    fv = FourierTable(f, max_abs_freq=js[-1] / N).values(js / N).real
+    rows = moments_per_sample(0.5, N, mu, 100, h, js, fv)
+    assert est.value > 0.0
+    assert est.value == pytest.approx(rows.mean(), rel=1e-12)
+    assert est.stderr == pytest.approx(rows.std(ddof=1) / 10.0, rel=1e-12)
