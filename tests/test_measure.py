@@ -232,7 +232,7 @@ def test_first_draws_fall_back_when_a_round_rejects_all(monkeypatch):
     assert 0 < len(calls) < 40
 
 
-def test_block_bounds_cap_and_spread(monkeypatch):
+def test_block_bounds_cap_and_spread():
     counts = np.full(2000, 50)
     for workers in (1, 2, 4):
         bounds = measure._block_bounds(counts, workers)
