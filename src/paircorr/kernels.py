@@ -46,6 +46,10 @@ class TestKernel:
     ``profile`` is only evaluated strictly inside the support; the wrapper
     returns exact 0.0 elsewhere.  ``smoothness_budget`` records how many
     derivatives error estimates may assume (the default is "all of them").
+    ``whole_array`` marks a profile that may take every point and itself
+    returns exact 0.0 outside the support, with the bits the inside-only
+    evaluation would give (make_bump's); the wrapper then calls it once on
+    the whole array instead of gathering and scattering the inside points.
     """
 
     # "Test" here means test function, not a pytest suite
@@ -55,6 +59,7 @@ class TestKernel:
     support_hi: float
     profile: Callable[[np.ndarray], np.ndarray]
     smoothness_budget: int = 10**6
+    whole_array: bool = False
 
     def __post_init__(self):
         if not self.support_hi > self.support_lo:
@@ -66,10 +71,13 @@ class TestKernel:
 
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        out = np.zeros(arr.shape, dtype=np.float64)
-        inside = (arr > self.support_lo) & (arr < self.support_hi)
-        if inside.any():
-            out[inside] = self.profile(arr[inside])
+        if self.whole_array:
+            out = self.profile(arr)
+        else:
+            out = np.zeros(arr.shape, dtype=np.float64)
+            inside = (arr > self.support_lo) & (arr < self.support_hi)
+            if inside.any():
+                out[inside] = self.profile(arr[inside])
         if np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -95,15 +103,23 @@ def make_bump(lo: float = -1.0, hi: float = 1.0) -> TestKernel:
         raise KernelError(f"need lo < hi, got ({lo}, {hi})")
 
     def profile(x, _lo=lo, _hi=hi):
-        u = (2.0 * x - _lo - _hi) / (_hi - _lo)
-        t = 1.0 - u * u
-        # t can underflow to 0 right at the edge of the open support; the
-        # correct limit there is 0, so divide-by-zero is masked, not raised.
-        with np.errstate(divide="ignore", over="ignore"):
-            safe = np.where(t > 0.0, t, 1.0)
-            return np.where(t > 0.0, np.exp(-1.0 / safe), 0.0)
+        # in place: a fresh temporary per step costs more than its arithmetic
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            t = 2.0 * x
+            t -= _lo
+            t -= _hi
+            t /= _hi - _lo  # u
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)  # 1 - u*u
+            # outside the open support, and where t underflows to 0 at its
+            # edge, t is set to 0: -1/t = -inf and exp gives the exact 0
+            inside = (x > _lo) & (x < _hi) & (t > 0.0)
+            if not inside.all():
+                np.putmask(t, ~inside, 0.0)
+            np.divide(-1.0, t, out=t)
+            return np.exp(t, out=t)
 
-    return TestKernel(lo, hi, profile)
+    return TestKernel(lo, hi, profile, whole_array=True)
 
 
 def integrate(kernel: TestKernel, weight: Callable | None = None,

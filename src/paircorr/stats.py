@@ -6,12 +6,20 @@ that a Poissonian sequence gives pair counts ~2s and gap density ~exp(-s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._precision import as_ld, frac
+from ._precision import LD, as_ld, frac
 from .expsums import _pow_ld
+
+# elements per chunk of long-double work: 2**16 long doubles are 1 MB
+_CHUNK = 2 ** 16
+
+# (key, read-only powers): the one table kept, so that dilates swept over a
+# fixed (theta, window) share their n**theta
+_table: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -41,27 +49,55 @@ class PointSet:
         return f"n in [{self.n_lo}, {self.n_hi}]{tag}"
 
 
-def fractional_parts(theta: float, alpha: float, n_lo: int, n_hi: int,
-                     exclude_squares: bool = False) -> PointSet:
-    """Points {alpha * n**theta} for n_lo <= n <= n_hi.
+def _powers(theta: float, n_lo: int, n_hi: int,
+            exclude_squares: bool) -> np.ndarray:
+    """n**theta in long double over the window, as a read-only array.
 
-    The powers are taken in long double before reduction mod 1; with
-    exclude_squares the perfect squares in the window are dropped (they are
-    the degenerate fibre when theta = 1/2 and alpha is rational).
+    The last table built is kept and returned again for the same key; a new
+    key drops it before building its own, so at most one table is alive.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie strictly between 0 and 1")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError("need 1 <= n_lo <= n_hi")
+    global _table
+    key = (theta, n_lo, n_hi, exclude_squares)
+    entry = _table  # one read, so another thread's swap cannot split it
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    del entry
+    _table = None
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     if exclude_squares:
         roots = np.arange(int(np.floor(np.sqrt(n_lo))),
                           int(np.ceil(np.sqrt(n_hi))) + 1, dtype=np.int64)
         squares = roots[(roots * roots >= n_lo) & (roots * roots <= n_hi)]
         ns = ns[~np.isin(ns, squares * squares)]
-    pts = frac(as_ld(alpha) * _pow_ld(ns, theta))
+    w = np.empty(ns.size, dtype=LD)
+    for i in range(0, ns.size, _CHUNK):
+        w[i:i + _CHUNK] = _pow_ld(ns[i:i + _CHUNK], theta)
+    w.flags.writeable = False
+    _table = (key, w)
+    return w
+
+
+def fractional_parts(theta: float, alpha: float, n_lo: int, n_hi: int,
+                     exclude_squares: bool = False) -> PointSet:
+    """Points {alpha * n**theta} for n_lo <= n <= n_hi.
+
+    The powers are taken in long double before reduction mod 1; with
+    exclude_squares the perfect squares in the window are dropped (they are
+    the degenerate fibre when theta = 1/2 and alpha is rational).  The
+    powers of the last window are reused (see _powers), and each point is
+    reduced on its own, so the points do not depend on that reuse.
+    """
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie strictly between 0 and 1")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError("alpha must be finite and positive")
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError("need 1 <= n_lo <= n_hi")
+    w = _powers(theta, n_lo, n_hi, exclude_squares)
+    a = as_ld(alpha)
+    pts = np.empty(w.size, dtype=np.float64)
+    for i in range(0, w.size, _CHUNK):
+        pts[i:i + _CHUNK] = frac(a * w[i:i + _CHUNK])
     return PointSet(theta=theta, alpha=alpha, n_lo=n_lo, n_hi=n_hi,
                     exclude_squares=exclude_squares, points=pts)
 
@@ -88,11 +124,12 @@ class PairCorrEstimate:
 def pair_corr_count(ps: PointSet, s: float) -> PairCorrEstimate:
     """Ordered pairs (x, y), x != y, with ||x - y|| <= s / size.
 
-    Sort-and-sweep on the circle: each point queries the sorted array
-    extended by one wrapped copy, so the cost is (size + pairs) log size.
-    Radii s/size >= 1/2 cover the whole torus and short-circuit.
+    Sort-and-sweep on the circle: each point x counts, by binary search,
+    the sorted points in [x, x + s/size], wrapped ones as y + 1, so the
+    cost is size log size.  Radii s/size >= 1/2 cover the whole torus and
+    short-circuit.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError("s must be nonnegative")
     M = ps.size
     if M < 2:
@@ -103,9 +140,17 @@ def pair_corr_count(ps: PointSet, s: float) -> PairCorrEstimate:
         count = M * (M - 1)
     else:
         vs = np.sort(ps.points)
-        ext = np.concatenate([vs, vs + 1.0])
-        hi = np.searchsorted(ext, vs + r, side="right")
-        count = 2 * int((hi - np.arange(M) - 1).sum())
+        # a query vs[i] + r is at most 1 + r, rounded; y + 1, rounded, can
+        # lie below it only for y <= r + 2**-50, a short head of vs
+        head = vs[:np.searchsorted(vs, r + 2.0 ** -50, side="right")] + 1.0
+        # the count of sorted point i includes itself and the i points
+        # before it, taken off at the end
+        total = 0
+        for i in range(0, M, _CHUNK):
+            q = vs[i:i + _CHUNK] + r
+            total += int(np.searchsorted(vs, q, side="right").sum())
+            total += int(np.searchsorted(head, q, side="right").sum())
+        count = 2 * (total - M * (M - 1) // 2 - M)
     return PairCorrEstimate(s=s, count=count, normalized=count / M,
                             poisson_ref=2.0 * s)
 
@@ -139,6 +184,8 @@ def gap_distribution(ps: PointSet, bins: int = 80,
         raise ValueError("need at least two points for gaps")
     if bins < 1:
         raise ValueError("bins must be a positive integer")
+    if not (math.isfinite(s_max) and s_max > 0.0):
+        raise ValueError("s_max must be finite and positive")
     vs = np.sort(ps.points)
     gaps = np.diff(vs, append=vs[0] + 1.0) * M
     edges = np.linspace(0.0, s_max, bins + 1)

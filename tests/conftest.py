@@ -2,8 +2,15 @@
 
 import pytest
 
+from paircorr import stats
 from paircorr.beurling import build_beurling_selberg
 from paircorr.kernels import default_f, default_h
+
+
+@pytest.fixture(autouse=True)
+def _no_power_table():
+    # every test starts without the point sets' cached power table
+    stats._table = None
 
 
 @pytest.fixture(scope="session")

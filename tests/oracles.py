@@ -5,7 +5,8 @@ moments_per_sample build their phases and amplitudes themselves, never
 through expsums._short_terms, so a fault in that shared term table cannot
 cancel out of a comparison with them.  Only the m-windows and the j-band
 come from expsums.  The module also holds the evaluations that only tests
-call (osc_integral_vec, diagonal_w_term).
+call (osc_integral_vec, diagonal_w_term), and pair_corr_count_concat, the
+sweep over a doubled array that stats.pair_corr_count is checked against.
 """
 
 import math
@@ -171,3 +172,16 @@ def diagonal_w_term(spec, j, h) -> DiagonalTerm:
     return DiagonalTerm(value=float(vals.sum()), main_term=float(main),
                         W=float(W), n_count=int((vals > 0).sum()),
                         regime_warning=bool(W < 4.0))
+
+
+def pair_corr_count_concat(points, s) -> int:
+    """Ordered pairs within s / size on the circle, x != y, by the sweep over
+    the sorted points concatenated with their copy shifted by 1."""
+    M = points.size
+    r = s / M
+    if r >= 0.5:
+        return M * (M - 1)
+    vs = np.sort(points)
+    ext = np.concatenate([vs, vs + 1.0])
+    hi = np.searchsorted(ext, vs + r, side="right")
+    return 2 * int((hi - np.arange(M) - 1).sum())

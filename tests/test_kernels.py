@@ -38,6 +38,38 @@ def test_bump_grid_continuity():
     assert np.max(np.abs(np.diff(vals))) < 1e-3
 
 
+def _masked_bump_profile(lo, hi):
+    # the inside-only form: masks t twice, evaluated on gathered points
+    def profile(x):
+        u = (2.0 * x - lo - hi) / (hi - lo)
+        t = 1.0 - u * u
+        with np.errstate(divide="ignore", over="ignore"):
+            safe = np.where(t > 0.0, t, 1.0)
+            return np.where(t > 0.0, np.exp(-1.0 / safe), 0.0)
+    return profile
+
+
+def test_bump_whole_array_bytes_match_gather_path():
+    rng = np.random.default_rng(3)
+    for lo, hi in ((-1.0, 1.0), (1.0, 2.0), (0.1, 0.35)):
+        g = make_bump(lo, hi)
+        assert g.whole_array
+        pad = 0.1 * (hi - lo)
+        xs = rng.uniform(lo - pad, hi + pad, 2 ** 20)
+        xs[::100] = lo  # 1% of the points at each endpoint
+        xs[1::100] = hi
+        xs[2:6] = [np.nextafter(lo, hi), np.nextafter(hi, lo),
+                   -1e300, np.inf]
+        refs = (TestKernel(lo, hi, _masked_bump_profile(lo, hi)),
+                TestKernel(lo, hi, g.profile))
+        for ref in refs:
+            assert not ref.whole_array
+            assert g(xs).tobytes() == ref(xs).tobytes()
+            for x in (lo, 0.5 * (lo + hi), hi + 1.0):
+                assert np.float64(g(np.float64(x))).tobytes() == \
+                    np.float64(ref(np.float64(x))).tobytes()
+
+
 def test_empty_support_rejected():
     with pytest.raises(KernelError):
         make_bump(2.0, 2.0)

@@ -1,10 +1,15 @@
 """Raw pair correlation, gap histograms, and their reference laws."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from oracles import pair_corr_count_concat
+from paircorr import stats
+from paircorr._precision import as_ld, frac
+from paircorr.expsums import _pow_ld
 from paircorr.stats import (PointSet, fractional_parts, gap_distribution,
                             pair_corr_count, uniform_points)
 
@@ -39,6 +44,52 @@ def test_fractional_parts_validation():
         fractional_parts(0.5, -1.0, 1, 10)
     with pytest.raises(ValueError):
         fractional_parts(0.5, 1.0, 5, 4)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fractional_parts(0.5, alpha, 1, 10)
+
+
+def test_fractional_parts_bytes_match_direct_reduction():
+    # alternating keys reuse and rebuild the power table; one-point window,
+    # windows past one chunk, with and without the squares
+    keys = [(0.3, 1, 70000, False), (0.5, 1, 70000, True),
+            (0.3, 1, 70000, False), (0.7, 9, 9, False),
+            (0.5, 100001, 200000, True), (0.5, 100001, 200000, False),
+            (0.5, 100001, 200000, True), (0.7, 1, 2 ** 16 + 1, False)]
+    for theta, n_lo, n_hi, drop in keys:
+        ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+        if drop:
+            ns = np.array([n for n in ns.tolist()
+                           if math.isqrt(n) ** 2 != n], dtype=np.int64)
+        w = _pow_ld(ns, theta)
+        for alpha in (1.0, 1.3710934, 1.9):
+            ps = fractional_parts(theta, alpha, n_lo, n_hi, drop)
+            direct = frac(as_ld(alpha) * w)
+            assert ps.points.tobytes() == direct.tobytes()
+
+
+def test_power_table_is_read_only_and_replaced():
+    w = stats._powers(0.3, 1, 1000, False)
+    assert stats._powers(0.3, 1, 1000, False) is w
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    old = weakref.ref(w)
+    del w
+    seen = []
+    real = stats._pow_ld
+
+    def spy(values, expo):
+        seen.append(old() is None)
+        return real(values, expo)
+
+    stats._pow_ld = spy
+    try:
+        fractional_parts(0.3, 1.5, 1, 1001)
+    finally:
+        stats._pow_ld = real
+    # the old table was gone before the first power of the new one
+    assert seen and all(seen)
+    assert stats._table[0] == (0.3, 1, 1001, False)
 
 
 def test_uniform_points_deterministic():
@@ -63,6 +114,8 @@ def test_pair_corr_validation_and_short_circuit():
     ps = uniform_points(50, seed=0)
     with pytest.raises(ValueError):
         pair_corr_count(ps, -1.0)
+    with pytest.raises(ValueError):
+        pair_corr_count(ps, math.nan)
     # radius >= 1/2 covers the torus
     assert pair_corr_count(ps, 25.0).count == 50 * 49
 
@@ -75,6 +128,40 @@ def test_pair_corr_matches_naive_oracle():
         ps = PointSet(None, None, 1, M, False, pts)
         for s in (0.3, 1.0, 2.7):
             assert pair_corr_count(ps, s).count == naive_pair_count(pts, s)
+
+
+def test_pair_corr_matches_concatenated_sweep():
+    # edge points 0 and 1 - 2**-53, two points, s = 0, r just below 1/2,
+    # and sizes past one chunk of queries
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for M in (2, 3, 97, 5000, 2 ** 16 + 3):
+            pts = rng.random(M)
+            pts[0] = 0.0
+            pts[-1] = 1.0 - 2.0 ** -53
+            ps = PointSet(None, None, 1, M, False, pts)
+            below_half = float(np.nextafter(0.5, 0.0)) * M
+            for s in (0.0, 0.25, 1.0, 3.7, below_half):
+                assert pair_corr_count(ps, s).count == \
+                    pair_corr_count_concat(pts, s)
+    # points in clusters at both ends of the circle wrap many pairs
+    edge = np.concatenate([np.linspace(0.0, 1e-3, 500),
+                           1.0 - np.linspace(0.0, 1e-3, 500)[1:]])
+    edge[-1] = 1.0 - 2.0 ** -53
+    ps = PointSet(None, None, 1, edge.size, False, edge)
+    for s in (0.0, 0.5, 2.0, 40.0):
+        assert pair_corr_count(ps, s).count == pair_corr_count_concat(edge, s)
+    # y a few ulp above r still lies within r of 1 - 2**-53 once rounded
+    for s in (0.25, 0.5):
+        y = s / 4
+        for _ in range(6):
+            y = float(np.nextafter(y, 1.0))
+            pts = np.array([1.0 - 2.0 ** -53, y, 0.5, 0.7])
+            ps = PointSet(None, None, 1, 4, False, pts)
+            assert pair_corr_count(ps, s).count == \
+                pair_corr_count_concat(pts, s)
+        # at 6 ulp the pair still counts at s = 0.25, and no more at 0.5
+        assert pair_corr_count_concat(pts, s) == (2 if s == 0.25 else 0)
 
 
 def test_pair_corr_translation_invariance():
@@ -100,6 +187,9 @@ def test_gap_distribution_mass_and_edges():
     assert int(gh.counts.sum()) + gh.overflow_count == gh.n_points
     with pytest.raises(ValueError):
         gap_distribution(ps, bins=0)
+    for s_max in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gap_distribution(ps, s_max=s_max)
 
 
 def test_gap_distribution_equally_spaced_spike():
