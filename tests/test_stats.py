@@ -68,7 +68,7 @@ def test_fractional_parts_bytes_match_direct_reduction():
             assert ps.points.tobytes() == direct.tobytes()
 
 
-def test_power_table_is_read_only_and_replaced():
+def test_power_table_is_read_only_and_replaced(monkeypatch):
     w = stats._powers(0.3, 1, 1000, False)
     assert stats._powers(0.3, 1, 1000, False) is w
     with pytest.raises(ValueError):
@@ -76,17 +76,13 @@ def test_power_table_is_read_only_and_replaced():
     old = weakref.ref(w)
     del w
     seen = []
-    real = stats._pow_ld
 
     def spy(values, expo):
         seen.append(old() is None)
-        return real(values, expo)
+        return _pow_ld(values, expo)
 
-    stats._pow_ld = spy
-    try:
-        fractional_parts(0.3, 1.5, 1, 1001)
-    finally:
-        stats._pow_ld = real
+    monkeypatch.setattr(stats, "_pow_ld", spy)
+    fractional_parts(0.3, 1.5, 1, 1001)
     # the old table was gone before the first power of the new one
     assert seen and all(seen)
     assert stats._table[0] == (0.3, 1, 1001, False)
