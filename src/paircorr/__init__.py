@@ -8,17 +8,14 @@ runner (cli).
 """
 
 from .beurling import (BeurlingConstructionError, BeurlingSelberg,
-                       beurling_B, build_beurling_selberg)
+                       build_beurling_selberg)
 from .diophantine import (DioInstance, ResourceGuardError, ZMultiset,
-                          build_zset, count_duq, count_log_close_pairs,
-                          count_zdiag, dio_instance, dirichlet_D,
-                          dirichlet_P, duq_bound_check, robert_sargos_count,
-                          twisted_second_moment)
+                          build_zset, count_duq, count_zdiag, dio_instance,
+                          duq_bound_check, robert_sargos_count)
 from .expsums import (BProcessConstants, ExpSumPair, SequenceSpec,
                       TildeDecomposition, bprocess_constants,
                       exp_sum_bprocess, exp_sum_direct, exp_sum_pair,
-                      pair_corr_smooth, s_sum, s_tilde_parts,
-                      stationary_point, stationary_window)
+                      pair_corr_smooth, s_sum, s_tilde_parts)
 from .kernels import (DegenerateKernelError, FourierTable, KernelError,
                       TestKernel, default_f, default_h, default_rho,
                       fourier, integrate, make_bump, normalize_rho,
@@ -52,19 +49,15 @@ __all__ = [
     "TestKernel",
     "TildeDecomposition",
     "ZMultiset",
-    "beurling_B",
     "bprocess_constants",
     "build_beurling_selberg",
     "build_zset",
     "count_duq",
-    "count_log_close_pairs",
     "count_zdiag",
     "default_f",
     "default_h",
     "default_rho",
     "dio_instance",
-    "dirichlet_D",
-    "dirichlet_P",
     "duq_bound_check",
     "exp_sum_bprocess",
     "exp_sum_direct",
@@ -84,9 +77,6 @@ __all__ = [
     "s_tilde_parts",
     "second_moment_roff",
     "second_moment_tilde_e",
-    "stationary_point",
-    "stationary_window",
-    "twisted_second_moment",
     "uniform_points",
     "__version__",
 ]

@@ -72,6 +72,26 @@ def e_frac(fr):
     return np.exp(1j * TWO_PI * fr)
 
 
+def iceil(x):
+    """ceil of x moved down by a relative 1e-12: an int, or an int64 array.
+
+    An integer endpoint that float64 rounding carried just past the integer
+    still rounds to that integer; callers give such endpoints zero weight,
+    so the nudge only settles ties.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    # the factor is 1 - 1e-12 for x > 0 and 1 + 1e-12 otherwise, exactly
+    out = np.ceil(x * (1.0 - np.copysign(1e-12, x)))
+    return int(out) if out.ndim == 0 else out.astype(np.int64)
+
+
+def ifloor(x):
+    """floor(x) of x moved up by a relative 1e-12; see iceil."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.floor(x * (1.0 + np.copysign(1e-12, x)))
+    return int(out) if out.ndim == 0 else out.astype(np.int64)
+
+
 def csum(values) -> complex:
     """Exactly rounded complex sum of a 1-d array (via math.fsum)."""
     v = np.asarray(values)

@@ -27,39 +27,17 @@ class BeurlingConstructionError(Exception):
     """A verified property of the majorant failed at build time."""
 
 
-def beurling_B(x, cutoff: int = 10**4):
-    """Beurling's majorant of sgn, as a truncated sum-of-squares series.
-
-    The two one-sided series are cut at ``cutoff`` terms and the remainders
-    replaced by their midpoint-rule integrals; at the default cutoff the
-    truncation error stays below ~1e-12 for |x| <= cutoff / 2 (the accepted
-    argument band).  Small cutoffs are allowed but correspondingly coarse.
-    """
-    M = int(cutoff)
-    if M < 1:
-        raise ValueError("cutoff must be at least 1")
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if xs.size and float(np.max(np.abs(xs))) > M / 2:
-        raise ValueError(f"|x| must stay below cutoff/2 = {M / 2}")
-    out = 2.0 * xs * np.sinc(xs) ** 2
-    blk = max(1, int(2 ** 22) // max(xs.size, 1))
-    for a in range(0, M + 1, blk):
-        nn = np.arange(a, min(a + blk, M + 1), dtype=np.float64)
-        out += (np.sinc(xs[:, None] - nn[None, :]) ** 2).sum(axis=1)
-        pos = nn[nn >= 1.0]
-        if pos.size:
-            out -= (np.sinc(xs[:, None] + pos[None, :]) ** 2).sum(axis=1)
-    s2 = (np.sin(np.pi * xs) / np.pi) ** 2
-    out += s2 * (1.0 / (M + 0.5 - xs) - 1.0 / (M + 0.5 + xs))
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+# the psi_hat table is zero-padded to _PAD times its length before the DCT
+_PAD = 4
 
 
 def _b_on_grid(i_lo: int, i_hi: int, inv_h: int, cutoff: int) -> np.ndarray:
-    """beurling_B at y = i / inv_h for every integer i in [i_lo, i_hi].
+    """Beurling's B at y = i / inv_h for every integer i in [i_lo, i_hi].
 
-    Same truncation and tail correction as beurling_B, but organised by
+    B(y) = 2 y sinc(y)^2 + sum_{n=0}^{M} sinc(y - n)^2
+    - sum_{n=1}^{M} sinc(y + n)^2 with M = cutoff, each series' remainder
+    replaced by its midpoint-rule integral; the truncation error stays
+    below ~1e-12 for |y| <= cutoff / 2.  The terms are organised by
     residue class of i mod inv_h so each class shares one prefix-sum table
     of 1 / (k + tau)^2.  Integer y short-circuits to sgn (B is exact there).
     """
@@ -136,8 +114,8 @@ class BeurlingSelberg:
 
 
 def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
-                           spacing: float = 2.0**-10, t_max: float = 4.0,
-                           pad_factor: int = 4) -> BeurlingSelberg:
+                           spacing: float = 2.0**-10,
+                           t_max: float = 4.0) -> BeurlingSelberg:
     """Tabulate the majorant family and verify its defining inequalities.
 
     Raises BeurlingConstructionError naming the violated property if any
@@ -154,7 +132,8 @@ def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
     if abs(xi - x_max * inv_h) > 1e-9:
         raise ValueError("x_max must sit on the evaluation grid")
     if x_max + 1.5 > series_cutoff / 2:
-        raise ValueError("x_max exceeds the certified band of beurling_B")
+        raise ValueError("x_max exceeds the certified band of the B "
+                         "series, |x| <= series_cutoff / 2")
 
     master = _b_on_grid(inv_h - xi, inv_h + xi, inv_h, series_cutoff)
     psi_half = 0.5 * (master[:xi + 1][::-1] + master[xi:])
@@ -176,9 +155,9 @@ def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
     # transform: trapezoid equals a type-1 DCT here; zero-padding past x_max
     # refines the t grid at the price of the (already tiny) tail of psi_hat
     padded = np.concatenate([psi_half,
-                             np.zeros((pad_factor - 1) * xi, dtype=np.float64)])
+                             np.zeros((_PAD - 1) * xi, dtype=np.float64)])
     spectrum = dct(padded, type=1) * spacing
-    dt = 1.0 / (2.0 * pad_factor * x_max)
+    dt = 1.0 / (2.0 * _PAD * x_max)
     k_keep = int(round(t_max / dt)) + 1
     t_grid = np.arange(k_keep) * dt
     psi_plus = spectrum[:k_keep]

@@ -32,6 +32,18 @@ from .stats import fractional_parts, gap_distribution, pair_corr_count
 EXPERIMENTS = ("paircorr", "gaps", "bprocess", "moments", "roff-variance",
                "dio", "bs-check")
 
+# the per-row pass thresholds each experiment reads, with their defaults;
+# ExperimentConfig.tolerances may override these keys and no others
+_TOLERANCES = {
+    "paircorr": {"pair_corr_rel": 0.10},
+    "gaps": {},
+    "bprocess": {"bprocess_const": 10.0},
+    "moments": {"moment_ratio": 20.0},
+    "roff-variance": {"roff_slope": -0.2},
+    "dio": {"count_ratio": 50.0},
+    "bs-check": {"bs_slack": 1e-3},
+}
+
 
 # each size of a (C, ell_range) subsequence is one more run of the experiment
 _MAX_SIZES = 1000
@@ -112,6 +124,12 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENTS)}")
+        known = _TOLERANCES[self.experiment]
+        unknown = [k for k in self.tolerances if k not in known]
+        if unknown:
+            raise ConfigError(
+                f"{self.experiment} takes no tolerances {unknown!r}; "
+                f"its keys are {list(known)!r}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError("theta must lie strictly between 0 and 1")
         if not 0.0 < self.eps < 0.2:
@@ -158,8 +176,9 @@ class ExperimentConfig:
             return subsequence(self.C, self.ell_range[0], self.ell_range[1])
         return default
 
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tol(self, key: str) -> float:
+        return float(self.tolerances.get(key,
+                                         _TOLERANCES[self.experiment][key]))
 
 
 def _past_int64(C: int, ell: int) -> bool:
@@ -196,7 +215,7 @@ def _alphas(cfg: ExperimentConfig, mu: MuMeasure) -> list[float]:
 
 def _run_paircorr(cfg: ExperimentConfig) -> list[dict]:
     mu = MuMeasure(cfg.theta, seed=cfg.seed)
-    tol = cfg.tol("pair_corr_rel", 0.10)
+    tol = cfg.tol("pair_corr_rel")
     rows = []
     for N in cfg.resolve_N([10 ** 5]):
         for alpha in _alphas(cfg, mu):
@@ -236,7 +255,7 @@ def _run_gaps(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_bprocess(cfg: ExperimentConfig) -> list[dict]:
     h = default_h()
-    bound = cfg.tol("bprocess_const", 10.0)
+    bound = cfg.tol("bprocess_const")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for N in cfg.resolve_N([10 ** 3, 10 ** 4]):
@@ -258,7 +277,7 @@ def _run_bprocess(cfg: ExperimentConfig) -> list[dict]:
 def _run_moments(cfg: ExperimentConfig) -> list[dict]:
     mu = MuMeasure(cfg.theta, seed=cfg.seed)
     samples = cfg.samples or 2000
-    ratio_bound = cfg.tol("moment_ratio", 20.0)
+    ratio_bound = cfg.tol("moment_ratio")
     rows = []
     for N in cfg.resolve_N([10 ** 4]):
         for j in (N, 2 * N, 4 * N):
@@ -291,7 +310,7 @@ def _run_roff_variance(cfg: ExperimentConfig) -> list[dict]:
             N, est.value, prev, est.value <= prev))
     if len(Ns) >= 2 and all(v > 0 for v in values):
         slope = float(np.polyfit(np.log(Ns), np.log(values), 1)[0])
-        target = cfg.tol("roff_slope", -0.2)
+        target = cfg.tol("roff_slope")
         rows.append(_row("measure.second_moment_roff.slope", cfg.seed,
                          {"theta": cfg.theta, "N_list": list(Ns)},
                          -1.0, slope, target, slope <= target))
@@ -299,7 +318,7 @@ def _run_roff_variance(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_dio(cfg: ExperimentConfig) -> list[dict]:
-    bound = cfg.tol("count_ratio", 50.0)
+    bound = cfg.tol("count_ratio")
     rows = []
     for N in cfg.resolve_N([256]):
         for r in duq_bound_check(cfg.theta, N, cfg.eps):
@@ -318,7 +337,7 @@ def _run_dio(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_bs_check(cfg: ExperimentConfig) -> list[dict]:
     bs = build_beurling_selberg()
-    slack = cfg.tol("bs_slack", 1e-3)
+    slack = cfg.tol("bs_slack")
     ts = np.linspace(-bs.t_max, bs.t_max, 1 << 18)
     xs = np.linspace(-bs.x_max, bs.x_max, 1 << 20)
     core = np.linspace(-1.0, 1.0, 1 << 16)

@@ -3,11 +3,9 @@
 Here z runs over gaps of the curved lattice, z = m**(1-Theta) - n**(1-Theta)
 with n = m + gap > m, and the basic question is how often two products
 j1**Theta * z1 and j2**Theta * z2 land within a threshold of each other.
-The module enumerates honestly (sort and sweep), brute-counts the quartic
-model problem, and bounds the same counts from below through a twisted
-second moment of Dirichlet polynomials weighted by the Beurling-Selberg
-window.  Parameters arrive on dyadic-exponential grids indexed by integers
-(u, q): j in [e^u, e^(u+1)), gap in [e^q, e^(q+1)).
+The module enumerates honestly (sort and sweep) and brute-counts the
+quartic model problem.  Parameters arrive on dyadic-exponential grids
+indexed by integers (u, q): j in [e^u, e^(u+1)), gap in [e^q, e^(q+1)).
 """
 
 from __future__ import annotations
@@ -17,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._precision import LD, as_ld, csum, e_frac, frac
-from .beurling import BeurlingSelberg
+# unused frac, e_frac kept: perfbench/tracer.py wraps them as boundaries here
+from ._precision import as_ld, e_frac, frac, iceil, ifloor  # noqa: F401
 from .expsums import _pow_ld
 
 
@@ -27,14 +25,6 @@ class ResourceGuardError(Exception):
 
 
 _ENUM_BUDGET = 10**9
-
-
-def _iceil(x: float) -> int:
-    return int(math.ceil(x * (1.0 - 1e-12) if x > 0 else x * (1.0 + 1e-12)))
-
-
-def _ifloor(x: float) -> int:
-    return int(math.floor(x * (1.0 + 1e-12) if x > 0 else x * (1.0 - 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -100,15 +90,15 @@ def dio_instance(theta: float, N: int, eps: float, u: int, q: int) -> DioInstanc
         raise ValueError(f"u = {u} outside [1, (1+eps) log N]")
     if not 0 <= q <= (theta + eps) * logN + 1e-9:
         raise ValueError(f"q = {q} outside [0, (theta+eps) log N]")
-    j_lo = _iceil(math.exp(u))
-    j_hi = _iceil(math.exp(u + 1.0))
+    j_lo = iceil(math.exp(u))
+    j_hi = iceil(math.exp(u + 1.0))
     m_min = theta * 2.0 ** (theta - 1.0) * math.exp(u) * N ** (theta - 1.0)
     m_max = 2.0 * theta * math.exp(u + 1.0) * N ** (theta - 1.0)
     return DioInstance(
         theta=theta,
         j_lo=j_lo, j_hi=j_hi,
-        m_lo=max(1, _iceil(m_min)), m_hi=_ifloor(m_max),
-        gap_lo=_iceil(math.exp(q)), gap_hi=_iceil(math.exp(q + 1.0)),
+        m_lo=max(1, iceil(m_min)), m_hi=ifloor(m_max),
+        gap_lo=iceil(math.exp(q)), gap_hi=iceil(math.exp(q + 1.0)),
         threshold=float(N) ** eps,
         u=u, q=q, N=N, eps=eps,
     )
@@ -198,14 +188,8 @@ def count_duq(inst: DioInstance, zset: ZMultiset | None = None) -> int:
     return int((hi - lo).sum())
 
 
-def count_zdiag(inst_or_zset, tau: float) -> int:
+def count_zdiag(zset: ZMultiset, tau: float) -> int:
     """Ordered pairs of z values with |z1 - z2| strictly below tau."""
-    if isinstance(inst_or_zset, DioInstance):
-        if inst_or_zset.is_vacuous:
-            return 0
-        zset = build_zset(inst_or_zset)
-    else:
-        zset = inst_or_zset
     if zset.size == 0:
         return 0
     zs = zset.z
@@ -238,80 +222,6 @@ def robert_sargos_count(M: int, one_minus_Theta: float, gamma: float) -> int:
     lo = np.searchsorted(ds, -thr - diffs, side="right")
     # gamma = 0 makes the open interval empty while ties push hi below lo
     return int(np.maximum(hi - lo, 0).sum())
-
-
-def dirichlet_D(u: float, Theta: float, t: float) -> complex:
-    """D_u(Theta*t) = sum over j in [e^u, e^(u+1)) of e(Theta*t*log j).
-
-    The Theta twist is baked into the signature because every use pairs
-    D_u with the argument Theta*t; pass Theta=1 for the plain polynomial.
-    """
-    js = np.arange(_iceil(math.exp(u)), _iceil(math.exp(u + 1.0)),
-                   dtype=np.int64)
-    ph = frac(as_ld(Theta) * as_ld(t) * np.log(as_ld(js)))
-    return csum(e_frac(ph))
-
-
-def dirichlet_P(zset: ZMultiset, t: float) -> complex:
-    """P(t) = sum over the multiset of e(t log z)."""
-    if zset.size == 0:
-        return 0j
-    ph = frac(as_ld(t) * np.log(as_ld(zset.z)))
-    return csum(e_frac(ph))
-
-
-def count_log_close_pairs(inst: DioInstance, T: float,
-                          zset: ZMultiset | None = None) -> int:
-    """Ordered pairs of products with |T log(v1/v2)| < 1 (self included)."""
-    v = _products(inst, zset)
-    if v.size == 0:
-        return 0
-    lv = np.sort(np.log(v))
-    hi = np.searchsorted(lv, lv + 1.0 / T, side="left")
-    lo = np.searchsorted(lv, lv - 1.0 / T, side="right")
-    return int((hi - lo).sum())
-
-
-def twisted_second_moment(inst: DioInstance, bs: BeurlingSelberg,
-                          T: float | None = None,
-                          node_factor: int = 16) -> float:
-    """(1/T) int |D_u(Theta t)|^2 |P(t)|^2 Phi(t/T) dt by midpoint rule.
-
-    Expanding the squares shows the value equals sum over ordered pairs of
-    products of Phi_hat(T log(v1/v2)); since Phi_hat dominates the unit
-    tent, the value is bounded below by the number of pairs with
-    |T log(v1/v2)| < 1.  T defaults to e^q N^(1-eps) when the instance
-    carries grid provenance.
-    """
-    if T is None:
-        if inst.q is None or inst.N is None or inst.eps is None:
-            raise ValueError("explicit T required for hand-built instances")
-        T = math.exp(inst.q) * inst.N ** (1.0 - inst.eps)
-    if T <= 0:
-        raise ValueError("T must be positive")
-    zset = build_zset(inst)
-    if zset.size == 0:
-        return 0.0
-    js = inst.js
-    TH = inst.Theta
-    # fastest beat frequency of |D|^2 |P|^2 in cycles per unit t
-    f_max = (TH * (math.log(inst.j_hi) - math.log(inst.j_lo))
-             + math.log(zset.z[-1] / zset.z[0]) + 1.0 / T)
-    dt = min(1.0 / (node_factor * f_max), T / node_factor)
-    K = int(math.ceil(2.0 * T / dt))
-    ts = -T + (np.arange(K) + 0.5) * (2.0 * T / K)
-    lj = np.log(js.astype(np.float64))
-    lz = np.log(zset.z)
-    acc = 0.0
-    chunk = max(1, int(2 ** 22) // max(js.size + zset.size, 1))
-    for i in range(0, K, chunk):
-        tt = ts[i:i + chunk]
-        D = np.exp(2j * np.pi * TH * np.outer(tt, lj)).sum(axis=1)
-        P = np.exp(2j * np.pi * np.outer(tt, lz)).sum(axis=1)
-        w = bs.phi(tt / T)
-        acc += float(((D.real ** 2 + D.imag ** 2)
-                      * (P.real ** 2 + P.imag ** 2) * w).sum())
-    return acc * (2.0 * T / K) / T
 
 
 def duq_bound_check(theta: float, N: int, eps: float) -> list[dict]:

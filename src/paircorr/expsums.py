@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._precision import LD, as_ld, csum, e_frac, frac
+from ._precision import LD, as_ld, csum, e_frac, frac, iceil, ifloor
 from .kernels import FourierTable, TestKernel, periodize
 
 
@@ -136,38 +136,23 @@ def _direct_abs2(spec: SequenceSpec, h: TestKernel, js: np.ndarray) -> np.ndarra
     return out
 
 
-def stationary_point(spec: SequenceSpec, j: int, m: int) -> float:
-    """Location x_m = (theta*alpha*j/m)**Theta of the m-th stationary point."""
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    return (spec.theta * spec.alpha * j / m) ** spec.Theta
-
-
 def _single(j: int) -> np.ndarray:
     if j < 1:
         raise ValueError("j must be a positive integer")
     return np.array([j], dtype=np.int64)
 
 
-def stationary_window(spec: SequenceSpec, j: int) -> tuple[int, int]:
-    """Inclusive m-range whose stationary points fall in [N, 2N]."""
-    lo, hi, _ = _windows(spec, _single(j))
-    return int(lo[0]), int(hi[0])
-
-
 def _windows(spec, js: np.ndarray):
     """Inclusive m-windows (lo, hi) and their lengths, one per (dilate, j)
     pair of spec (a SequenceSpec or a DilateBlock), dilate-major.
 
-    Endpoints carry zero weight (h vanishes there), so the 1e-12 nudges only
-    guard against ties rounding the wrong way.
+    The stationary points of the window fall in [N, 2N]; its endpoints
+    carry zero weight (h vanishes there), so fuzzy rounding settles ties.
     """
     th, N = spec.theta, spec.N
     taj = np.multiply.outer(th * spec.alphas, js.astype(np.float64)).ravel()
-    lo = np.ceil(taj * (2.0 * N) ** (th - 1.0) * (1.0 - 1e-12))
-    hi = np.floor(taj * float(N) ** (th - 1.0) * (1.0 + 1e-12))
-    lo = np.maximum(lo, 1.0).astype(np.int64)
-    hi = hi.astype(np.int64)
+    lo = np.maximum(iceil(taj * (2.0 * N) ** (th - 1.0)), 1)
+    hi = ifloor(taj * float(N) ** (th - 1.0))
     lens = np.maximum(hi - lo + 1, 0)
     return lo, hi, lens
 
@@ -258,20 +243,20 @@ class ExpSumPair:
 
 
 def exp_sum_pair(spec: SequenceSpec, h: TestKernel, j: int) -> ExpSumPair:
-    lo, hi = stationary_window(spec, j)
+    lo, hi, _ = _windows(spec, _single(j))
     ref = spec.N ** (1.0 - spec.theta / 2.0) / math.sqrt(j)
     return ExpSumPair(
         j=j,
         direct=exp_sum_direct(spec, h, j),
         short=exp_sum_bprocess(spec, h, j),
         error_ref=ref,
-        m_lo=lo,
-        m_hi=hi,
+        m_lo=int(lo[0]),
+        m_hi=int(hi[0]),
     )
 
 
-def s_sum(spec: SequenceSpec, f: TestKernel, h: TestKernel, j_max: int,
-          use_short: bool = False) -> float:
+def s_sum(spec: SequenceSpec, f: TestKernel, h: TestKernel,
+          j_max: int) -> float:
     """S = (2/N^2) sum_{1 <= j <= j_max} fhat(j/N) |E_j|^2.
 
     For real f the +-j terms pair up into twice the real part, so only the
@@ -284,17 +269,14 @@ def s_sum(spec: SequenceSpec, f: TestKernel, h: TestKernel, j_max: int,
     js = np.arange(1, j_max + 1, dtype=np.int64)
     table = FourierTable(f, max_abs_freq=j_max / spec.N)
     fv = table.values(js / spec.N).real
-    if use_short:
-        e2, _, _ = _short_components(spec, h, js)
-    else:
-        e2 = _direct_abs2(spec, h, js)
+    e2 = _direct_abs2(spec, h, js)
     return float(2.0 / spec.N ** 2 * np.dot(fv, e2))
 
 
 def _band(spec: SequenceSpec, eps: float) -> np.ndarray:
     """Integers j in [N^(1-eps), N^(1+eps)]."""
-    lo = int(math.ceil(spec.N ** (1.0 - eps) * (1.0 - 1e-12)))
-    hi = int(math.floor(spec.N ** (1.0 + eps) * (1.0 + 1e-12)))
+    lo = iceil(spec.N ** (1.0 - eps))
+    hi = ifloor(spec.N ** (1.0 + eps))
     return np.arange(max(lo, 1), hi + 1, dtype=np.int64)
 
 
@@ -348,6 +330,8 @@ def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     the cost scales with the number of contributing pairs, not with N^2.
     method "brute" forces the quadratic reference evaluation.
     """
+    if method not in ("auto", "brute"):
+        raise ValueError("method must be 'auto' or 'brute'")
     ys = _index_range(spec, h)
     if ys.size < 2:
         return 0.0
@@ -356,8 +340,6 @@ def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     v = frac(as_ld(spec.alpha) * w)
     hw = h(ys / N)
     r = max(abs(f.support_lo), abs(f.support_hi)) / N
-    if method not in ("auto", "brute"):
-        raise ValueError("method must be 'auto' or 'brute'")
     if method == "brute" or r >= 0.49 or ys.size < 16:
         d = v[:, None] - v[None, :]
         F = periodize(f, N, d.ravel()).reshape(d.shape)

@@ -44,12 +44,11 @@ class TestKernel:
     """Smooth function vanishing identically outside (support_lo, support_hi).
 
     ``profile`` is only evaluated strictly inside the support; the wrapper
-    returns exact 0.0 elsewhere.  ``smoothness_budget`` records how many
-    derivatives error estimates may assume (the default is "all of them").
-    ``whole_array`` marks a profile that may take every point and itself
-    returns exact 0.0 outside the support, with the bits the inside-only
-    evaluation would give (make_bump's); the wrapper then calls it once on
-    the whole array instead of gathering and scattering the inside points.
+    returns exact 0.0 elsewhere.  ``whole_array`` marks a profile that may
+    take every point and itself returns exact 0.0 outside the support, with
+    the bits the inside-only evaluation would give (make_bump's); the
+    wrapper then calls it once on the whole array instead of gathering and
+    scattering the inside points.
     """
 
     # "Test" here means test function, not a pytest suite
@@ -58,7 +57,6 @@ class TestKernel:
     support_lo: float
     support_hi: float
     profile: Callable[[np.ndarray], np.ndarray]
-    smoothness_budget: int = 10**6
     whole_array: bool = False
 
     def __post_init__(self):
@@ -89,7 +87,6 @@ class TestKernel:
             self.support_lo,
             self.support_hi,
             lambda t, _p=prof, _c=c: _c * _p(t),
-            self.smoothness_budget,
         )
 
 

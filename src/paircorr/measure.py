@@ -60,47 +60,19 @@ class MuMeasure:
         if abs(mass - 1.0) > 1e-8:
             raise MeasureError(
                 f"multiplicative mass is {mass:.10f}, expected 1")
-        # envelope and cdf tables in beta
-        lo, hi = self.rho.support_lo, self.rho.support_hi
-        grid = np.linspace(lo, hi, 1 << 14)
-        pdf = self.rho(grid) / grid
-        self._pdf_max = float(pdf.max()) * (1.0 + 1e-6)
-        width = grid[1] - grid[0]
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]))))
-        self._cdf_grid = grid
-        self._cdf_vals = cum * width
+        # flat rejection envelope in beta
+        grid = np.linspace(self.rho.support_lo, self.rho.support_hi, 1 << 14)
+        self._pdf_max = float((self.rho(grid) / grid).max()) * (1.0 + 1e-6)
 
     @property
     def Theta(self) -> float:
         return 1.0 / (1.0 - self.theta)
-
-    @property
-    def alpha_range(self) -> tuple[float, float]:
-        inv = 1.0 / self.Theta
-        return (self.rho.support_lo ** inv, self.rho.support_hi ** inv)
 
     def pdf_beta(self, beta):
         beta = np.asarray(beta, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(beta > 0.0, self.rho(beta) / np.where(beta > 0, beta, 1.0), 0.0)
         return float(out) if np.ndim(beta) == 0 else out
-
-    def pdf_alpha(self, alpha):
-        alpha = np.asarray(alpha, dtype=np.float64)
-        out = self.Theta * self.rho(alpha ** self.Theta) / alpha
-        return float(out) if np.ndim(alpha) == 0 else out
-
-    def cdf_alpha(self, alpha):
-        beta = np.asarray(alpha, dtype=np.float64) ** self.Theta
-        out = np.interp(beta, self._cdf_grid, self._cdf_vals,
-                        left=0.0, right=1.0)
-        return float(out) if np.ndim(alpha) == 0 else out
-
-    def quad(self, g, nodes_per_unit: int = 8192) -> float:
-        """Quadrature expectation int g(alpha) dmu(alpha), in beta variables."""
-        inv = 1.0 / self.Theta
-        return integrate(self.rho, nodes_per_unit=nodes_per_unit,
-                         weight=lambda b: np.asarray(g(b ** inv)) / b)
 
     def sample_alphas(self, n: int, substream: int | None = None) -> np.ndarray:
         """n independent draws; substream k derives a Philox stream jumped k

@@ -4,9 +4,20 @@ An oracle keeps its own copy of the formulas it checks: r_off_pairs and
 moments_per_sample build their phases and amplitudes themselves, never
 through expsums._short_terms, so a fault in that shared term table cannot
 cancel out of a comparison with them.  Only the m-windows and the j-band
-come from expsums.  The module also holds the evaluations that only tests
-call (osc_integral_vec, diagonal_w_term), and pair_corr_count_concat, the
-sweep over a doubled array that stats.pair_corr_count is checked against.
+come from expsums.  The module is the home of every evaluation that only
+tests call:
+
+- beurling_B, Beurling's series summed term by term, which
+  beurling._b_on_grid is checked against;
+- stationary_point, the location of one stationary point;
+- count_log_close_pairs and twisted_second_moment, the log-close pair count
+  of the products of a DioInstance and the twisted second moment of
+  Dirichlet polynomials that bounds it from above;
+- alpha_range, cdf_alpha and quad, the support, distribution function and
+  quadrature expectation of a MuMeasure;
+- osc_integral_vec and diagonal_w_term;
+- pair_corr_count_concat, the sweep over a doubled array that
+  stats.pair_corr_count is checked against.
 """
 
 import math
@@ -15,10 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from paircorr._precision import LD, as_ld, csum, e_frac, frac
+from paircorr.beurling import BeurlingSelberg
+from paircorr.diophantine import DioInstance, ZMultiset, _products, build_zset
 from paircorr.expsums import (SequenceSpec, _band, _pow_ld, _windows,
                               bprocess_constants)
 from paircorr.kernels import FourierTable, default_h, integrate
-from paircorr.measure import _check_theta, _osc_panels, _stationary_scale
+from paircorr.measure import (MuMeasure, _check_theta, _osc_panels,
+                              _stationary_scale)
 
 
 def r_off_pairs(spec, f, h, eps=0.05) -> float:
@@ -185,3 +199,120 @@ def pair_corr_count_concat(points, s) -> int:
     ext = np.concatenate([vs, vs + 1.0])
     hi = np.searchsorted(ext, vs + r, side="right")
     return 2 * int((hi - np.arange(M) - 1).sum())
+
+
+def beurling_B(x, cutoff: int = 10**4):
+    """Beurling's majorant of sgn, as a truncated sum-of-squares series.
+
+    The two one-sided series are cut at ``cutoff`` terms and the remainders
+    replaced by their midpoint-rule integrals; at the default cutoff the
+    truncation error stays below ~1e-12 for |x| <= cutoff / 2 (the accepted
+    argument band).  Small cutoffs are allowed but correspondingly coarse.
+    """
+    M = int(cutoff)
+    if M < 1:
+        raise ValueError("cutoff must be at least 1")
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if xs.size and float(np.max(np.abs(xs))) > M / 2:
+        raise ValueError(f"|x| must stay below cutoff/2 = {M / 2}")
+    out = 2.0 * xs * np.sinc(xs) ** 2
+    blk = max(1, int(2 ** 22) // max(xs.size, 1))
+    for a in range(0, M + 1, blk):
+        nn = np.arange(a, min(a + blk, M + 1), dtype=np.float64)
+        out += (np.sinc(xs[:, None] - nn[None, :]) ** 2).sum(axis=1)
+        pos = nn[nn >= 1.0]
+        if pos.size:
+            out -= (np.sinc(xs[:, None] + pos[None, :]) ** 2).sum(axis=1)
+    s2 = (np.sin(np.pi * xs) / np.pi) ** 2
+    out += s2 * (1.0 / (M + 0.5 - xs) - 1.0 / (M + 0.5 + xs))
+    if np.ndim(x) == 0:
+        return float(out[0])
+    return out
+
+
+def stationary_point(spec: SequenceSpec, j: int, m: int) -> float:
+    """Location x_m = (theta*alpha*j/m)**Theta of the m-th stationary point."""
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    return (spec.theta * spec.alpha * j / m) ** spec.Theta
+
+
+def count_log_close_pairs(inst: DioInstance, T: float,
+                          zset: ZMultiset | None = None) -> int:
+    """Ordered pairs of products with |T log(v1/v2)| < 1 (self included)."""
+    v = _products(inst, zset)
+    if v.size == 0:
+        return 0
+    lv = np.sort(np.log(v))
+    hi = np.searchsorted(lv, lv + 1.0 / T, side="left")
+    lo = np.searchsorted(lv, lv - 1.0 / T, side="right")
+    return int((hi - lo).sum())
+
+
+def twisted_second_moment(inst: DioInstance, bs: BeurlingSelberg,
+                          T: float | None = None,
+                          node_factor: int = 16) -> float:
+    """(1/T) int |D_u(Theta t)|^2 |P(t)|^2 Phi(t/T) dt by midpoint rule.
+
+    D_u(Theta t) sums e(Theta t log j) over the j of the instance and P(t)
+    sums e(t log z) over its z multiset.  Expanding the squares shows the
+    value equals sum over ordered pairs of products of
+    Phi_hat(T log(v1/v2)); since Phi_hat dominates the unit tent, the value
+    is bounded below by the number of pairs with |T log(v1/v2)| < 1.
+    T defaults to e^q N^(1-eps) when the instance carries grid provenance.
+    """
+    if T is None:
+        if inst.q is None or inst.N is None or inst.eps is None:
+            raise ValueError("explicit T required for hand-built instances")
+        T = math.exp(inst.q) * inst.N ** (1.0 - inst.eps)
+    if T <= 0:
+        raise ValueError("T must be positive")
+    zset = build_zset(inst)
+    if zset.size == 0:
+        return 0.0
+    js = inst.js
+    TH = inst.Theta
+    # fastest beat frequency of |D|^2 |P|^2 in cycles per unit t
+    f_max = (TH * (math.log(inst.j_hi) - math.log(inst.j_lo))
+             + math.log(zset.z[-1] / zset.z[0]) + 1.0 / T)
+    dt = min(1.0 / (node_factor * f_max), T / node_factor)
+    K = int(math.ceil(2.0 * T / dt))
+    ts = -T + (np.arange(K) + 0.5) * (2.0 * T / K)
+    lj = np.log(js.astype(np.float64))
+    lz = np.log(zset.z)
+    acc = 0.0
+    chunk = max(1, int(2 ** 22) // max(js.size + zset.size, 1))
+    for i in range(0, K, chunk):
+        tt = ts[i:i + chunk]
+        D = np.exp(2j * np.pi * TH * np.outer(tt, lj)).sum(axis=1)
+        P = np.exp(2j * np.pi * np.outer(tt, lz)).sum(axis=1)
+        w = bs.phi(tt / T)
+        acc += float(((D.real ** 2 + D.imag ** 2)
+                      * (P.real ** 2 + P.imag ** 2) * w).sum())
+    return acc * (2.0 * T / K) / T
+
+
+def alpha_range(mu: MuMeasure) -> tuple[float, float]:
+    """The support of mu in alpha: the rho support mapped by 1/Theta."""
+    inv = 1.0 / mu.Theta
+    return (mu.rho.support_lo ** inv, mu.rho.support_hi ** inv)
+
+
+def cdf_alpha(mu: MuMeasure, alpha):
+    """mu([0, alpha]): the trapezoid cumulative integral of rho(b)/b on
+    2**14 points of the rho support, interpolated at beta = alpha**Theta."""
+    lo, hi = mu.rho.support_lo, mu.rho.support_hi
+    grid = np.linspace(lo, hi, 1 << 14)
+    pdf = mu.rho(grid) / grid
+    width = grid[1] - grid[0]
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]))))
+    beta = np.asarray(alpha, dtype=np.float64) ** mu.Theta
+    out = np.interp(beta, grid, cum * width, left=0.0, right=1.0)
+    return float(out) if np.ndim(alpha) == 0 else out
+
+
+def quad(mu: MuMeasure, g, nodes_per_unit: int = 8192) -> float:
+    """Quadrature expectation int g(alpha) dmu(alpha), in beta variables."""
+    inv = 1.0 / mu.Theta
+    return integrate(mu.rho, nodes_per_unit=nodes_per_unit,
+                     weight=lambda b: np.asarray(g(b ** inv)) / b)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from paircorr.beurling import beurling_B, build_beurling_selberg
+from paircorr.beurling import _b_on_grid, build_beurling_selberg
+
+from oracles import beurling_B
 
 
 def test_B_at_integers():
@@ -90,3 +92,13 @@ def test_margins_recorded(bs):
     assert bs.margins["phi_hat_ge_tent"] >= -1e-4
     assert set(bs.margins) >= {"psi_hat_at_0_eq_1", "phi_hat_nonneg",
                                "psi_plus_small_outside", "phi_hat_at_0_ge_2"}
+
+
+@pytest.mark.parametrize("i_lo, i_hi", [(-3000, 3000),
+                                        (200 * 1024 - 2048, 200 * 1024)])
+def test_b_on_grid_matches_the_series(i_lo, i_hi):
+    # both signs and the integers, where the grid path returns sgn, then a
+    # window below x_max = 200, the edge of the majorant's default table
+    got = _b_on_grid(i_lo, i_hi, 1024, 10**4)
+    want = beurling_B(np.arange(i_lo, i_hi + 1) / 1024)
+    assert float(np.max(np.abs(got - want))) <= 1e-12

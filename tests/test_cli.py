@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paircorr
 from paircorr import _precision, cli
 from paircorr.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                           _load_config, main, subsequence)
@@ -39,6 +40,35 @@ def test_config_validation():
     cfg.validate()
     assert cfg.resolve_N([10]) == [8, 27, 64]
     assert ExperimentConfig(experiment="gaps").resolve_N([10]) == [10]
+
+
+def test_unknown_tolerance_key_exits_2(tmp_path):
+    # a misspelt key, and a key another experiment reads
+    for key in ("pair_corr_rell", "bs_slack"):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(experiment="paircorr",
+                             tolerances={key: 0.5}).validate()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tolerances": {"pair_corr_rell": 0.5}}))
+    assert main(["paircorr", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    ExperimentConfig(experiment="paircorr",
+                     tolerances={"pair_corr_rel": 0.5}).validate()
+
+
+def test_package_exports():
+    names = paircorr.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(paircorr, name)
+    space: dict = {}
+    exec("from paircorr import *", space)
+    assert set(names) <= set(space)
+    for gone in ("beurling_B", "stationary_point", "stationary_window",
+                 "dirichlet_D", "dirichlet_P", "count_log_close_pairs",
+                 "twisted_second_moment"):
+        assert not hasattr(paircorr, gone)
 
 
 def test_malformed_theta_exits_2_without_files(tmp_path):

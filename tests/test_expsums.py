@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from paircorr import expsums
 from paircorr._precision import csum, e_frac
 from paircorr.expsums import (DilateBlock, SequenceSpec, _short_components,
                               _short_terms, _windows, bprocess_constants,
                               exp_sum_bprocess, exp_sum_direct, exp_sum_pair,
-                              pair_corr_smooth, s_sum, s_tilde_parts,
-                              stationary_point, stationary_window)
+                              pair_corr_smooth, s_sum, s_tilde_parts)
 from paircorr.kernels import TestKernel, fourier, integrate, make_bump
 
-from oracles import diagonal_w_term, r_off_pairs
+from oracles import diagonal_w_term, r_off_pairs, stationary_point
 
 
 def test_spec_validation():
@@ -97,7 +97,7 @@ def test_stationary_point_values_and_defining_equation():
 def test_short_sum_window_matches_h_support_oracle(h):
     spec = SequenceSpec(0.5, 1.44, 10**4)
     j = 2 * 10**4
-    lo, hi = stationary_window(spec, j)
+    (lo,), (hi,), _ = _windows(spec, np.array([j]))
     for m in range(max(1, lo - 3), hi + 4):
         x = stationary_point(spec, j, m) / spec.N
         if lo <= m <= hi:
@@ -127,12 +127,13 @@ def test_short_form_scalar_and_batched_routes_agree(h):
                 assert abs(short) ** 2 == pytest.approx(abs2, rel=1e-12,
                                                         abs=1e-300)
                 lo, hi, lens = _windows(spec, np.array([j]))
-                assert stationary_window(spec, j) == (lo[0], hi[0])
+                pair = exp_sum_pair(spec, h, j)
+                assert (pair.m_lo, pair.m_hi) == (lo[0], hi[0])
                 empty += int(lens[0] == 0)
             with pytest.raises(ValueError):
                 exp_sum_bprocess(spec, h, 0)
             with pytest.raises(ValueError):
-                stationary_window(spec, 0)
+                exp_sum_pair(spec, h, 0)
     assert empty > 0
 
 
@@ -179,6 +180,16 @@ def test_pair_corr_smooth_sweep_equals_brute(f, h):
         a = pair_corr_smooth(spec, f, h)
         b = pair_corr_smooth(spec, f, h, method="brute")
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_pair_corr_smooth_rejects_an_unknown_method(monkeypatch, f, h):
+    # before the long-double powers and their reduction are built
+    def never(*args):
+        raise AssertionError("the powers must not be built")
+
+    monkeypatch.setattr(expsums, "_pow_ld", never)
+    with pytest.raises(ValueError, match="method"):
+        pair_corr_smooth(SequenceSpec(0.5, 1.5, 512), f, h, method="pairs")
 
 
 def test_pair_corr_smooth_zero_kernels(h):
@@ -268,7 +279,6 @@ def test_block_of_dilates_keeps_each_samples_bits(h, theta, N):
         assert diag[rows].tobytes() == one_diag.tobytes()
         for k, j in enumerate(js.tolist()):
             p = d * J + k
-            assert stationary_window(spec, j) == (lo[p], hi[p])
             assert (one_lo[k], one_hi[k]) == (lo[p], hi[p])
             mine = rep == p
             short = (c1 * (spec.alpha * j) ** (spec.Theta / 2.0)
