@@ -47,6 +47,9 @@ _TOLERANCES = {
 
 # each size of a (C, ell_range) subsequence is one more run of the experiment
 _MAX_SIZES = 1000
+# each sampled alpha is one more point set, and each gap bin one more row
+_MAX_ALPHAS = 1000
+_MAX_BINS = 10_000
 
 
 class ConfigError(Exception):
@@ -140,6 +143,9 @@ class ExperimentConfig:
             raise ConfigError("alpha must be positive")
         if self.alpha_mode == "sample" and self.alpha_count < 1:
             raise ConfigError("alpha_count must be a positive integer")
+        if self.alpha_mode == "sample" and self.alpha_count > _MAX_ALPHAS:
+            raise ConfigError(f"alpha_count is {self.alpha_count}; at most "
+                              f"{_MAX_ALPHAS} alphas are allowed")
         if (self.C is not None) != (self.ell_range is not None):
             raise ConfigError("subsequence mode needs both C and ell_range")
         if self.C is not None:
@@ -161,6 +167,9 @@ class ExperimentConfig:
                 raise ConfigError("dio needs N >= 4")  # duq_bound_check's
         if self.bins < 1:
             raise ConfigError("bins must be a positive integer")
+        if self.bins > _MAX_BINS:
+            raise ConfigError(f"bins is {self.bins}; at most {_MAX_BINS} "
+                              "are allowed")
         if self.samples is not None and self.samples < 2:
             raise ConfigError("samples must be at least 2")
         if (self.experiment == "roff-variance" and self.samples is not None

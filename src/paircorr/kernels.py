@@ -87,6 +87,9 @@ class TestKernel:
             self.support_lo,
             self.support_hi,
             lambda t, _p=prof, _c=c: _c * _p(t),
+            # c * 0.0 is the exact 0.0 outside only for finite c > 0: a
+            # negative c gives -0.0, and inf or nan give nan
+            whole_array=bool(self.whole_array and 0.0 < c < math.inf),
         )
 
 

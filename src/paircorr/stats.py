@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,9 @@ from .expsums import _pow_ld
 
 # elements per chunk of long-double work: 2**16 long doubles are 1 MB
 _CHUNK = 2 ** 16
+
+# neighbours each sorted point is compared with before a binary search
+_SWEEP = 8
 
 # (key, read-only powers): the one table kept, so that dilates swept over a
 # fixed (theta, window) share their n**theta
@@ -27,7 +31,8 @@ class PointSet:
     """Fractional parts of alpha * n**theta over an integer window.
 
     theta = alpha = None marks synthetic reference samples (see
-    uniform_points) that carry no arithmetic provenance.
+    uniform_points) that carry no arithmetic provenance.  points is kept as
+    a read-only view, so the sorted copy cached from it cannot go stale.
     """
 
     theta: float | None
@@ -36,6 +41,19 @@ class PointSet:
     n_hi: int
     exclude_squares: bool
     points: np.ndarray
+
+    def __post_init__(self):
+        # a view of its own: the caller's array keeps its flags
+        view = np.asarray(self.points).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "points", view)
+
+    @cached_property
+    def sorted_points(self) -> np.ndarray:
+        """The points in ascending order, sorted once per set, read-only."""
+        vs = np.sort(self.points)
+        vs.flags.writeable = False
+        return vs
 
     @property
     def size(self) -> int:
@@ -124,10 +142,12 @@ class PairCorrEstimate:
 def pair_corr_count(ps: PointSet, s: float) -> PairCorrEstimate:
     """Ordered pairs (x, y), x != y, with ||x - y|| <= s / size.
 
-    Sort-and-sweep on the circle: each point x counts, by binary search,
-    the sorted points in [x, x + s/size], wrapped ones as y + 1, so the
-    cost is size log size.  Radii s/size >= 1/2 cover the whole torus and
-    short-circuit.
+    Sweep on the circle over the set's sorted points (sorted once per set):
+    each point x counts the points y after it with y <= x + s/size, by
+    comparing it with its next few neighbours, and the wrapped ones as
+    y + 1.  The cost is about size times that sweep depth; only points in
+    clusters deeper than the sweep fall back to a binary search.  Radii
+    s/size >= 1/2 cover the whole torus and short-circuit.
     """
     if not s >= 0:
         raise ValueError("s must be nonnegative")
@@ -139,20 +159,52 @@ def pair_corr_count(ps: PointSet, s: float) -> PairCorrEstimate:
     if r >= 0.5:
         count = M * (M - 1)
     else:
-        vs = np.sort(ps.points)
-        # a query vs[i] + r is at most 1 + r, rounded; y + 1, rounded, can
-        # lie below it only for y <= r + 2**-50, a short head of vs
-        head = vs[:np.searchsorted(vs, r + 2.0 ** -50, side="right")] + 1.0
-        # the count of sorted point i includes itself and the i points
-        # before it, taken off at the end
-        total = 0
-        for i in range(0, M, _CHUNK):
-            q = vs[i:i + _CHUNK] + r
-            total += int(np.searchsorted(vs, q, side="right").sum())
-            total += int(np.searchsorted(head, q, side="right").sum())
-        count = 2 * (total - M * (M - 1) // 2 - M)
+        vs = ps.sorted_points
+        count = 2 * (_forward_pairs(vs, r) + _wrapped_pairs(vs, r))
     return PairCorrEstimate(s=s, count=count, normalized=count / M,
                             poisson_ref=2.0 * s)
+
+
+def _forward_pairs(vs: np.ndarray, r: float) -> int:
+    """Pairs i < j of sorted points with vs[j] <= vs[i] + r, rounded."""
+    M = vs.size
+    total = 0
+    for i in range(0, M - 1, _CHUNK):
+        q = vs[i:i + _CHUNK] + r
+        # on sorted points a query that misses offset k misses every later
+        # one, so the first offset without a hit ends the chunk
+        for k in range(1, _SWEEP + 1):
+            m = min(q.size, M - i - k)
+            if m <= 0:
+                break
+            hits = vs[i + k:i + k + m] <= q[:m]
+            n = int(np.count_nonzero(hits))
+            total += n
+            if n == 0:
+                break
+        else:
+            # queries still hitting at the last offset reach past the sweep
+            deep = np.flatnonzero(hits)
+            ends = np.searchsorted(vs, q[deep], side="right")
+            total += int((ends - (i + deep) - 1 - _SWEEP).sum())
+    return total
+
+
+def _wrapped_pairs(vs: np.ndarray, r: float) -> int:
+    """Pairs (i, j) of sorted points with vs[j] + 1 <= vs[i] + r, rounded."""
+    # a query vs[i] + r is at most 1 + r, rounded; y + 1, rounded, can lie
+    # below it only for y <= r + 2**-50, a short head of vs
+    head = vs[:np.searchsorted(vs, r + 2.0 ** -50, side="right")] + 1.0
+    if head.size == 0:
+        return 0
+    # a query reaches head[0] only if vs[i] >= head[0] - r - 2**-53; the
+    # 2**-50 margin covers the rounding of the bound itself
+    start = int(np.searchsorted(vs, head[0] - r - 2.0 ** -50, side="left"))
+    total = 0
+    for i in range(start, vs.size, _CHUNK):
+        q = vs[i:i + _CHUNK] + r
+        total += int(np.searchsorted(head, q, side="right").sum())
+    return total
 
 
 @dataclass(frozen=True)
@@ -186,11 +238,14 @@ def gap_distribution(ps: PointSet, bins: int = 80,
         raise ValueError("bins must be a positive integer")
     if not (math.isfinite(s_max) and s_max > 0.0):
         raise ValueError("s_max must be finite and positive")
-    vs = np.sort(ps.points)
+    vs = ps.sorted_points
     gaps = np.diff(vs, append=vs[0] + 1.0) * M
     edges = np.linspace(0.0, s_max, bins + 1)
     bin_width = s_max / bins
-    counts, _ = np.histogram(gaps, bins=edges)
+    # equal bins given by count and range: numpy places each gap by
+    # arithmetic against these same edges, where an edge array would sort
+    # the gaps first
+    counts, _ = np.histogram(gaps, bins=bins, range=(0.0, s_max))
     over = gaps >= edges[-1]
     return GapHistogram(
         edges=edges,

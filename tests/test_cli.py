@@ -38,6 +38,9 @@ def test_config_validation():
         ExperimentConfig(experiment="gaps", N_list=[1]).validate()
     cfg = ExperimentConfig(experiment="gaps", C=3, ell_range=(2, 4))
     cfg.validate()
+    ExperimentConfig(experiment="gaps", bins=cli._MAX_BINS,
+                     alpha_mode="sample",
+                     alpha_count=cli._MAX_ALPHAS).validate()
     assert cfg.resolve_N([10]) == [8, 27, 64]
     assert ExperimentConfig(experiment="gaps").resolve_N([10]) == [10]
 
@@ -232,6 +235,24 @@ def test_subsequence_out_of_range_exits_2(tmp_path, monkeypatch, C,
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"C": C, "ell_range": ell_range}))
     assert main(["gaps", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, fields", [
+    ("gaps", {"bins": 10**9}),                  # one report row per bin
+    ("gaps", {"alpha_mode": "sample", "alpha_count": 10**9}),
+    ("paircorr", {"alpha_mode": "sample", "alpha_count": 10**9}),
+])
+def test_rows_past_their_cap_exit_2(tmp_path, monkeypatch, experiment,
+                                    fields):
+    def never(cfg):
+        raise AssertionError("the experiment must not run")
+
+    monkeypatch.setitem(cli._RUNNERS, experiment, never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(fields))
+    assert main([experiment, "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 

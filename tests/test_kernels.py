@@ -83,6 +83,26 @@ def test_scaled_multiplies_values():
     assert np.allclose(g.scaled(2.5)(xs), 2.5 * g(xs), rtol=0, atol=1e-15)
 
 
+def test_scaled_bump_keeps_whole_array_with_gather_bytes():
+    lo, hi = 1.0, 2.0
+    g = make_bump(lo, hi)
+    xs = np.array([0.5, lo, np.nextafter(lo, hi), 1.25, 1.5, 1.999,
+                   np.nextafter(hi, lo), hi, 3.0, -np.inf, np.inf])
+    for c in (2.5, 1e-300, 1.0 / 0.6931):
+        k = g.scaled(c)
+        assert k.whole_array
+        ref = TestKernel(lo, hi, k.profile)
+        assert k(xs).tobytes() == ref(xs).tobytes()
+        for x in (lo, 1.5, hi, 0.0):
+            assert np.float64(k(np.float64(x))).tobytes() == \
+                np.float64(ref(np.float64(x))).tobytes()
+    # a negative, infinite or nan scale would not give the exact 0.0 outside
+    for c in (-2.5, -0.0, math.inf, math.nan):
+        assert not g.scaled(c).whole_array
+    assert not TestKernel(lo, hi, g.profile).scaled(2.5).whole_array
+    assert default_rho().whole_array
+
+
 def test_integrate_against_trapezoid_oracle():
     g = make_bump(-1.0, 1.0)
     xs = np.linspace(-1.0, 1.0, (1 << 20) + 1)

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import pair_corr_count_concat
 from paircorr import stats
@@ -160,6 +162,71 @@ def test_pair_corr_matches_concatenated_sweep():
         assert pair_corr_count_concat(pts, s) == (2 if s == 0.25 else 0)
 
 
+def _pair_counts_agree(pts, radii):
+    ps = PointSet(None, None, 1, pts.size, False, pts)
+    for s in radii:
+        assert pair_corr_count(ps, s).count == pair_corr_count_concat(pts, s)
+
+
+def test_pair_corr_sweep_clusters_match_concatenated_sweep():
+    rng = np.random.default_rng(5)
+    # more equal points at 0 than the sweep's depth: the binary search
+    for extra in (stats._SWEEP, stats._SWEEP + 1, 3 * stats._SWEEP):
+        pts = np.concatenate([np.zeros(extra + 1), rng.random(200)])
+        _pair_counts_agree(pts, (0.0, 0.5, 3.0))
+    # a dense cluster at sorted places C - 20 .. C + 19, across the first
+    # chunk boundary of the queries
+    C = stats._CHUNK
+    pts = np.sort(rng.random(C + 5000))
+    pts[C - 20:C + 20] = np.linspace(pts[C], pts[C] + 1e-11, 40)
+    assert np.all(np.diff(pts) >= 0.0)
+    _pair_counts_agree(pts, (0.0, 0.25, 1.0, 4.0))
+    # deep clusters at both ends of the circle
+    pts = np.concatenate([np.zeros(12), np.full(12, 1.0 - 2.0 ** -53),
+                          np.full(10, 2.0 ** -60), rng.random(300)])
+    _pair_counts_agree(pts, (0.0, 0.5, 2.0, 30.0))
+    # every small size, with repeats
+    for M in range(2, 10):
+        for _ in range(20):
+            pts = rng.integers(0, 4, M) / 4.0 + rng.integers(0, 2) * 0.1
+            _pair_counts_agree(pts % 1.0, (0.0, 0.3, 1.0, M / 4, M / 2.01))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(pts=st.lists(st.sampled_from([0.0, 2.0 ** -53, 0.1, 0.25, 0.5, 0.9,
+                                     1.0 - 2.0 ** -53])
+                    | st.floats(0.0, 1.0, exclude_max=True),
+                    min_size=2, max_size=40),
+       frac_s=st.floats(0.0, 1.0, exclude_max=True))
+def test_pair_corr_sweep_matches_concatenated_sweep_on_repeats(pts, frac_s):
+    pts = np.array(pts)
+    _pair_counts_agree(pts, (frac_s * pts.size / 2,))
+
+
+def test_one_sort_and_read_only_views_per_point_set(monkeypatch):
+    ps = uniform_points(5000, seed=4)
+    sorts = []
+    real_sort = np.sort
+
+    def spy(a, *args, **kwargs):
+        sorts.append(a.size)
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    gap_distribution(ps, bins=40)
+    for s in (0.25, 0.5, 1.0, 2.0):
+        pair_corr_count(ps, s)
+    assert sorts == [5000]
+    with pytest.raises(ValueError):
+        ps.points[0] = 0.5
+    with pytest.raises(ValueError):
+        ps.sorted_points[0] = 0.5
+    # the caller's array stays writable
+    pts = np.random.default_rng(1).random(10)
+    PointSet(None, None, 1, 10, False, pts)
+    pts[0] = 0.5
+
+
 def test_pair_corr_translation_invariance():
     rng = np.random.default_rng(9)
     pts = rng.random(300)
@@ -197,6 +264,19 @@ def test_gap_distribution_equally_spaced_spike():
     hot = np.argmax(gh.counts)
     assert gh.counts[hot] == 256
     assert gh.edges[hot] < 1.0 < gh.edges[hot + 1]
+
+
+def test_gap_counts_match_the_edge_array_histogram():
+    # dyadic spacing puts every rescaled gap exactly on the edge 1.0
+    spike = (np.arange(256) / 256.0 + 0.125) % 1.0
+    for pts, bins in ((spike, 80), (spike, 4),
+                      (np.random.default_rng(2).random(3000), 80),
+                      (np.random.default_rng(2).random(3000), 7)):
+        ps = PointSet(None, None, 1, pts.size, False, pts)
+        gh = gap_distribution(ps, bins=bins)
+        vs = np.sort(pts)
+        gaps = np.diff(vs, append=vs[0] + 1.0) * pts.size
+        assert np.array_equal(gh.counts, np.histogram(gaps, gh.edges)[0])
 
 
 def test_gap_sum_is_one():
