@@ -9,12 +9,11 @@ the beta variable, where the phases are linear and the windows are fixed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pool import _thread_workers, pmap
 from .expsums import (DilateBlock, SequenceSpec, _short_components,
                       _tilde_from_values, _windows, bprocess_constants,
                       _band, _pow_ld)
@@ -32,10 +31,6 @@ _FIRST_ROUND = 64
 # 3.7e5 to 4.8e5 (theta = 1/2, eps = 0.05) and sets the peak memory; blocks
 # of 2**16 stay far below it, and larger ones ran no faster (2-vCPU x86).
 _BLOCK_TERMS = 1 << 16
-
-
-def _thread_workers() -> int:
-    return min(4, os.cpu_count() or 1)
 
 
 @dataclass
@@ -224,17 +219,14 @@ def _per_block(theta: float, N: int, mu: MuMeasure, samples: int,
     in sample order; sample i's dilate is the first draw of substream i.
 
     Blocks are cut by their short-form term count over js, read from the
-    window lengths before any term is built; a thread pool runs them.
+    window lengths before any term is built; the shared pool runs them.
     """
     alphas = mu.first_draws(samples)
     workers = _thread_workers()
     bounds = _block_bounds(_term_counts(theta, N, alphas, js), workers)
     blocks = [DilateBlock(theta, alphas[a:b], N)
               for a, b in zip(bounds[:-1], bounds[1:])]
-    if workers == 1 or len(blocks) == 1:
-        return np.concatenate([fn(b) for b in blocks])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(fn, blocks)))
+    return np.concatenate(pmap(fn, blocks, workers))
 
 
 def second_moment_tilde_e(theta: float, N: int, j: int, mu: MuMeasure,

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paircorr
-from paircorr import _precision, cli
+from paircorr import _precision, cli, stats
 from paircorr.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                           _load_config, main, subsequence)
+from paircorr.expsums import _pow_ld
 
 
 def test_subsequence_values():
@@ -103,6 +104,31 @@ def test_missing_config_file_exits_2(tmp_path):
 
 def test_resource_guard_exits_3(tmp_path):
     assert main(["dio", "--N", "600", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("experiment", ["gaps", "paircorr"])
+def test_point_set_past_the_memory_budget_exits_3(tmp_path, monkeypatch,
+                                                  capsys, experiment):
+    calls = []
+
+    def spy(values, expo):
+        calls.append(np.size(values))
+        return _pow_ld(values, expo)
+
+    monkeypatch.setattr(stats, "_pow_ld", spy)
+    # 1000 points: [1, N] for gaps, (N, 2N] for paircorr; one byte short
+    # of their index, table, points and sorted copy
+    need = 1000 * stats._BYTES_PER_POINT
+    monkeypatch.setattr(stats, "_memory_budget", lambda: need - 1)
+    argv = [experiment, "--N", "1000", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert calls == [] and stats._table is None
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard:") and str(need) in err
+    # at exactly its need the set is built
+    monkeypatch.setattr(stats, "_memory_budget", lambda: need)
+    assert main(argv) in (0, 1)
+    assert sum(calls) == 1000 and stats._table[1].size == 1000
 
 
 def test_bs_check_report(tmp_path):

@@ -1,6 +1,9 @@
 """Raw pair correlation, gap histograms, and their reference laws."""
 
 import math
+import os
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -88,6 +91,78 @@ def test_power_table_is_read_only_and_replaced(monkeypatch):
     # the old table was gone before the first power of the new one
     assert seen and all(seen)
     assert stats._table[0] == (0.3, 1, 1001, False)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_pooled_points_and_powers_match_direct_reduction(monkeypatch,
+                                                         workers):
+    # windows off the chunk grid, one point, the squares dropped; four
+    # workers on fewer cores and a short switch interval mix the jobs up
+    monkeypatch.setattr(stats, "_thread_workers", lambda: workers)
+    C = stats._CHUNK
+    keys = [(0.3, 1, 3 * C + 17, False), (0.5, 1, 3 * C + 17, True),
+            (0.7, 5, 5, False), (0.5, 10 ** 6, 10 ** 6 + 2 * C - 1, True),
+            (0.7, 2 ** 20 + 1, 2 ** 20 + C, False)]
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for theta, n_lo, n_hi, drop in keys:
+            ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+            if drop:
+                ns = ns[[math.isqrt(n) ** 2 != n for n in ns.tolist()]]
+            w = _pow_ld(ns, theta)
+            for alpha in (1.0, 1.3710934):
+                ps = fractional_parts(theta, alpha, n_lo, n_hi, drop)
+                direct = frac(as_ld(alpha) * w)
+                assert ps.points.tobytes() == direct.tobytes()
+            # long doubles carry padding bytes, so compare them by value
+            assert np.array_equal(stats._powers(theta, n_lo, n_hi, drop), w)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_pooled_powers_run_on_several_threads(monkeypatch, workers):
+    monkeypatch.setattr(stats, "_thread_workers", lambda: workers)
+    # the first two chunks wait for each other, so two threads must run them
+    barrier = threading.Barrier(2, timeout=30)
+    lock = threading.Lock()
+    seen, unpublished = [], []
+
+    def spy(values, expo):
+        with lock:
+            seen.append(threading.get_ident())
+            first = len(seen) <= 2
+        unpublished.append(stats._table is None)
+        if first:
+            barrier.wait()
+        return _pow_ld(values, expo)
+
+    monkeypatch.setattr(stats, "_pow_ld", spy)
+    threads = threading.active_count()
+    fractional_parts(0.3, 1.5, 1, 4 * stats._CHUNK)
+    assert threading.active_count() == threads
+    assert len(seen) == 4 and len(set(seen)) >= 2
+    # no chunk ran while a half-built table was already kept
+    assert all(unpublished) and stats._table[1].size == 4 * stats._CHUNK
+
+
+def test_memory_budget_without_sysconf_is_unlimited(monkeypatch):
+    assert 0 < stats._memory_budget() < sys.maxsize
+    monkeypatch.delattr(os, "sysconf")
+    assert stats._memory_budget() == sys.maxsize
+
+
+def test_point_sets_compare_and_hash_by_identity():
+    a, b = uniform_points(10), uniform_points(10)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    index = {a: "a", b: "b"}
+    assert index[a] == "a" and index[b] == "b"
+    vs = a.sorted_points
+    assert a.sorted_points is vs and index[a] == "a"
 
 
 def test_uniform_points_deterministic():
