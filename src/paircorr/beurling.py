@@ -38,28 +38,29 @@ def _b_on_grid(i_lo: int, i_hi: int, inv_h: int, cutoff: int) -> np.ndarray:
     - sum_{n=1}^{M} sinc(y + n)^2 with M = cutoff, each series' remainder
     replaced by its midpoint-rule integral; the truncation error stays
     below ~1e-12 for |y| <= cutoff / 2.  The terms are organised by
-    residue class of i mod inv_h so each class shares one prefix-sum table
-    of 1 / (k + tau)^2.  Integer y short-circuits to sgn (B is exact there).
+    residue class of i mod inv_h, a strided slice of the window, so each
+    class shares one prefix-sum table of 1 / (k + tau)^2.  Integer y
+    short-circuits to sgn (B is exact there).
     """
     M = int(cutoff)
     i_arr = np.arange(i_lo, i_hi + 1, dtype=np.int64)
     out = np.empty(i_arr.size, dtype=np.float64)
-    r_all = np.mod(i_arr, inv_h)
-    p_all = (i_arr - r_all) // inv_h
-    kmin = int(p_all.min()) - M - 1
-    kmax = int(p_all.max()) + M
+    kmin = i_lo // inv_h - M - 1
+    kmax = i_hi // inv_h + M
     base = np.arange(kmin, kmax + 1, dtype=np.float64)
     for r in range(inv_h):
-        sel = np.nonzero(r_all == r)[0]
-        if sel.size == 0:
+        # i_arr is consecutive, so class r is every inv_h-th entry
+        sel = slice((r - i_lo) % inv_h, None, inv_h)
+        ii = i_arr[sel]
+        if ii.size == 0:
             continue
         if r == 0:
-            out[sel] = np.where(i_arr[sel] >= 0, 1.0, -1.0)
+            out[sel] = np.where(ii >= 0, 1.0, -1.0)
             continue
         tau = r / inv_h
         csum = np.concatenate(([0.0], np.cumsum(1.0 / (base + tau) ** 2)))
-        p = p_all[sel]
-        y = i_arr[sel] / inv_h
+        p = (ii - r) // inv_h
+        y = ii / inv_h
         t_minus = csum[p - kmin + 1] - csum[p - M - kmin]
         t_plus = csum[p + M - kmin + 1] - csum[p + 1 - kmin]
         s2 = (math.sin(math.pi * tau) / math.pi) ** 2

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import _CHUNK, _thread_workers, pmap
 from ._precision import LD, as_ld, csum, e_frac, frac, iceil, ifloor
 from .kernels import FourierTable, TestKernel, periodize
 
@@ -120,19 +121,33 @@ def exp_sum_direct(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
 
 
 def _direct_abs2(spec: SequenceSpec, h: TestKernel, js: np.ndarray) -> np.ndarray:
-    """|E_j|^2 for many j at once; chunked so the phase matrix stays small."""
+    """|E_j|^2 for many j at once.
+
+    Rows of about _CHUNK phases run as jobs on the shared pool, each
+    writing its own slice of the result.  A row of E is summed by numpy's
+    pairwise sum, one row at a time, so its bits depend on neither the
+    chunk nor the thread.  No BLAS: a threaded zgemv inside the pool's
+    jobs wakes OpenBLAS's own workers, which take the pool's cores.
+    """
     ys = _index_range(spec, h)
     out = np.zeros(len(js), dtype=np.float64)
     if ys.size == 0:
         return out
     w = _pow_ld(ys, spec.theta)
     hw = h(ys / spec.N)
-    chunk = max(1, int(2 ** 21) // ys.size)
+    chunk = max(1, _CHUNK // ys.size)
     a_ld = as_ld(spec.alpha)
-    for i in range(0, len(js), chunk):
+
+    def job(i):
+        # frac and e_frac are looked up at call time, as a wrapper may
+        # replace them
         aj = a_ld * as_ld(js[i:i + chunk])
-        E = e_frac(frac(aj[:, None] * w[None, :])) @ hw
+        E = e_frac(frac(aj[:, None] * w[None, :]))
+        E *= hw
+        E = E.sum(axis=1)
         out[i:i + chunk] = E.real ** 2 + E.imag ** 2
+
+    pmap(job, range(0, len(js), chunk), _thread_workers())
     return out
 
 

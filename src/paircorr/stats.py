@@ -14,15 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._pool import _thread_workers, pmap
+from ._pool import _CHUNK, _thread_workers, pmap
 from ._precision import LD, as_ld, frac
 from .diophantine import ResourceGuardError
 from .expsums import _pow_ld
-
-# elements per chunk of long-double work: 2**15 long doubles are 512 kB.
-# Each pool thread keeps its own chunk temporaries: on two threads (2-vCPU
-# x86) point-stats peaked 3 MB above the serial build, and 5 MB with 2**16.
-_CHUNK = 2 ** 15
 
 # bytes a point holds at once: int64 index, long-double power, float64 point
 # and the float64 sorted copy

@@ -1,5 +1,7 @@
 """Beurling majorant series and the certified cut-off family."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,45 @@ def test_b_on_grid_matches_the_series(i_lo, i_hi):
     got = _b_on_grid(i_lo, i_hi, 1024, 10**4)
     want = beurling_B(np.arange(i_lo, i_hi + 1) / 1024)
     assert float(np.max(np.abs(got - want))) <= 1e-12
+
+
+def _b_on_grid_by_scan(i_lo, i_hi, inv_h, cutoff):
+    # the residue classes found by a full scan per class, kept as the
+    # reference that the strided slices of _b_on_grid must match bit for bit
+    M = int(cutoff)
+    i_arr = np.arange(i_lo, i_hi + 1, dtype=np.int64)
+    out = np.empty(i_arr.size, dtype=np.float64)
+    r_all = np.mod(i_arr, inv_h)
+    p_all = (i_arr - r_all) // inv_h
+    kmin = int(p_all.min()) - M - 1
+    kmax = int(p_all.max()) + M
+    base = np.arange(kmin, kmax + 1, dtype=np.float64)
+    for r in range(inv_h):
+        sel = np.nonzero(r_all == r)[0]
+        if sel.size == 0:
+            continue
+        if r == 0:
+            out[sel] = np.where(i_arr[sel] >= 0, 1.0, -1.0)
+            continue
+        tau = r / inv_h
+        csum = np.concatenate(([0.0], np.cumsum(1.0 / (base + tau) ** 2)))
+        p = p_all[sel]
+        y = i_arr[sel] / inv_h
+        t_minus = csum[p - kmin + 1] - csum[p - M - kmin]
+        t_plus = csum[p + M - kmin + 1] - csum[p + 1 - kmin]
+        s2 = (math.sin(math.pi * tau) / math.pi) ** 2
+        out[sel] = s2 * (2.0 / y + t_minus - t_plus
+                         + 1.0 / (M + 0.5 - y) - 1.0 / (M + 0.5 + y))
+    return out
+
+
+@pytest.mark.parametrize("i_lo, i_hi, inv_h, cutoff", [
+    (-3001, 2500, 1024, 10**3),    # negative i_lo off the class grid
+    (-700, -100, 1024, 10**3),     # shorter than inv_h: empty classes
+    (5, 300, 256, 10**3),
+    (1024 - 200 * 1024, 1024 + 200 * 1024, 1024, 10**4),  # the default build
+])
+def test_b_on_grid_slices_match_the_scan(i_lo, i_hi, inv_h, cutoff):
+    got = _b_on_grid(i_lo, i_hi, inv_h, cutoff)
+    assert got.tobytes() == _b_on_grid_by_scan(i_lo, i_hi, inv_h,
+                                               cutoff).tobytes()
