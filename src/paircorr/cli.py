@@ -15,6 +15,7 @@ import math
 import platform
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -29,24 +30,8 @@ from .kernels import default_f, default_h
 from .measure import MuMeasure, second_moment_roff, second_moment_tilde_e
 from .stats import fractional_parts, gap_distribution, pair_corr_count
 
-EXPERIMENTS = ("paircorr", "gaps", "bprocess", "moments", "roff-variance",
-               "dio", "bs-check")
-
-# the per-row pass thresholds each experiment reads, with their defaults;
-# ExperimentConfig.tolerances may override these keys and no others
-_TOLERANCES = {
-    "paircorr": {"pair_corr_rel": 0.10},
-    "gaps": {},
-    "bprocess": {"bprocess_const": 10.0},
-    "moments": {"moment_ratio": 20.0},
-    "roff-variance": {"roff_slope": -0.2},
-    "dio": {"count_ratio": 50.0},
-    "bs-check": {"bs_slack": 1e-3},
-}
-
-
 # each size of a (C, ell_range) subsequence is one more run of the experiment
-_MAX_SIZES = 1000
+_MAX_THETA_N = 1000
 # each sampled alpha is one more point set, and each gap bin one more row
 _MAX_ALPHAS = 1000
 _MAX_BINS = 10_000
@@ -64,43 +49,54 @@ def _is_real(v) -> bool:
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-def _is_ints(v, length: int | None = None) -> bool:
-    return (isinstance(v, (list, tuple)) and all(map(_is_int, v))
-            and length in (None, len(v)))
+def _is_ints(v, lo: int) -> bool:
+    return (isinstance(v, (list, tuple))
+            and all(_is_int(n) and n >= lo for n in v))
 
 
-def _optional(test):
-    return lambda v: v is None or test(v)
-
-
-# what a JSON config may hold in each field that a range or membership
-# test alone would not reject cleanly, and how to say so
-_FIELD_TYPES = {
-    "theta": (_is_real, "a finite number"),
-    "alpha": (_is_real, "a finite number"),
-    "alpha_count": (_is_int, "an integer"),
-    "N_list": (_optional(_is_ints), "a list of integers"),
-    "C": (_optional(_is_int), "an integer"),
-    "ell_range": (_optional(lambda v: _is_ints(v, 2)), "a pair of integers"),
-    "eps": (_is_real, "a finite number"),
-    "seed": (_is_int, "an integer"),
+# one check per field, type and range together, and how to say it fails;
+# None stands for the experiment's own sizes, eps or samples
+_FIELDS = {
+    "theta": (lambda v: _is_real(v) and 0 < v < 1,
+              "a number strictly between 0 and 1"),
+    "alpha_mode": (lambda v: v in ("fixed", "sample"), "'fixed' or 'sample'"),
+    "alpha": (lambda v: _is_real(v) and v > 0, "a positive number"),
+    "alpha_count": (lambda v: _is_int(v) and 1 <= v <= _MAX_ALPHAS,
+                    f"an integer from 1 to {_MAX_ALPHAS}"),
+    "N_list": (lambda v: v is None or (_is_ints(v, 2) and len(v) > 0),
+               "a non-empty list of integers >= 2"),
+    "C": (lambda v: v is None or (_is_int(v) and v >= 2), "an integer >= 2"),
+    "ell_range": (lambda v: v is None or (_is_ints(v, 2) and len(v) == 2
+                                          and 0 <= v[1] - v[0] < _MAX_THETA_N),
+                  f"a pair lo <= hi of integers >= 2, at most {_MAX_THETA_N} "
+                  "apart"),
+    "eps": (lambda v: v is None or (_is_real(v) and 0 < v < 0.2),
+            "a number strictly between 0 and 0.2"),
+    # the Philox key range
+    "seed": (lambda v: _is_int(v) and 0 <= v < 2 ** 128,
+             "an integer in [0, 2**128)"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
     "exclude_squares": (lambda v: isinstance(v, bool), "true or false"),
-    "bins": (_is_int, "an integer"),
-    "samples": (_optional(_is_int), "an integer"),
+    "bins": (lambda v: _is_int(v) and 1 <= v <= _MAX_BINS,
+             f"an integer from 1 to {_MAX_BINS}"),
+    "samples": (lambda v: v is None or (_is_int(v) and v >= 2),
+                "an integer >= 2"),
     "tolerances": (lambda v: isinstance(v, dict)
                    and all(map(_is_real, v.values())),
                    "an object of finite numbers"),
 }
+# fields every experiment takes; the record lists the others it reads
+_ALWAYS_READ = ("experiment", "seed", "output_dir", "tolerances")
 
 
 @dataclass
 class ExperimentConfig:
-    """One experiment request; field defaults give a small honest run.
+    """One experiment request; every default gives a small honest run.
 
     N values come either from N_list or from the polynomial subsequence
-    (C, ell_range); when both are absent each experiment picks its
-    customary sizes.  tolerances overrides the per-row pass thresholds.
+    (C, ell_range).  Sizes, eps and samples left at None, and the per-row
+    pass thresholds that tolerances does not override, come from the
+    experiment's record in _EXPERIMENTS.
     """
 
     experiment: str
@@ -111,7 +107,7 @@ class ExperimentConfig:
     N_list: list[int] | None = None
     C: int | None = None
     ell_range: tuple[int, int] | None = None
-    eps: float = 0.05
+    eps: float | None = None
     seed: int = 0
     output_dir: str = "."
     exclude_squares: bool = False
@@ -120,74 +116,59 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        for name, (ok, kind) in _FIELD_TYPES.items():
+        """Check every field, then fill eps and samples from the record."""
+        for name, (ok, kind) in _FIELDS.items():
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{name} must be {kind}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENTS)}")
-        known = _TOLERANCES[self.experiment]
-        unknown = [k for k in self.tolerances if k not in known]
+        exp = _EXPERIMENTS[self.experiment]
+        unknown = [k for k in self.tolerances if k not in exp.tolerances]
         if unknown:
             raise ConfigError(
                 f"{self.experiment} takes no tolerances {unknown!r}; "
-                f"its keys are {list(known)!r}")
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError("theta must lie strictly between 0 and 1")
-        if not 0.0 < self.eps < 0.2:
-            raise ConfigError("eps must lie strictly between 0 and 0.2")
-        if self.alpha_mode not in ("fixed", "sample"):
-            raise ConfigError("alpha_mode must be 'fixed' or 'sample'")
-        if self.alpha_mode == "fixed" and self.alpha <= 0.0:
-            raise ConfigError("alpha must be positive")
-        if self.alpha_mode == "sample" and self.alpha_count < 1:
-            raise ConfigError("alpha_count must be a positive integer")
-        if self.alpha_mode == "sample" and self.alpha_count > _MAX_ALPHAS:
-            raise ConfigError(f"alpha_count is {self.alpha_count}; at most "
-                              f"{_MAX_ALPHAS} alphas are allowed")
+                f"its keys are {list(exp.tolerances)!r}")
         if (self.C is not None) != (self.ell_range is not None):
             raise ConfigError("subsequence mode needs both C and ell_range")
-        if self.C is not None:
-            if self.C < 2:
-                raise ConfigError("subsequence exponent C must be >= 2")
-            lo, hi = self.ell_range
-            if not 2 <= lo <= hi:  # sizes >= 2, as in N_list
-                raise ConfigError("ell_range must satisfy 2 <= lo <= hi")
-            if hi - lo >= _MAX_SIZES:
-                raise ConfigError(f"ell_range gives {hi - lo + 1} sizes; "
-                                  f"at most {_MAX_SIZES} are allowed")
-            if _past_int64(self.C, hi):
-                raise ConfigError(
-                    f"{hi}**{self.C} exceeds the 2^63 size range")
-        if self.N_list is not None:
-            if not self.N_list or min(self.N_list) < 2:
-                raise ConfigError("N_list entries must be integers >= 2")
-            if self.experiment == "dio" and min(self.N_list) < 4:
-                raise ConfigError("dio needs N >= 4")  # duq_bound_check's
-        if self.bins < 1:
-            raise ConfigError("bins must be a positive integer")
-        if self.bins > _MAX_BINS:
-            raise ConfigError(f"bins is {self.bins}; at most {_MAX_BINS} "
-                              "are allowed")
-        if self.samples is not None and self.samples < 2:
-            raise ConfigError("samples must be at least 2")
-        if (self.experiment == "roff-variance" and self.samples is not None
-                and self.samples < 100):
-            raise ConfigError("roff-variance needs at least 100 samples")
-        if not 0 <= self.seed < 2 ** 128:  # the Philox key range
-            raise ConfigError("seed must be an integer in [0, 2**128)")
+        if self.C is not None and _past_int64(self.C, self.ell_range[1]):
+            raise ConfigError(
+                f"{self.ell_range[1]}**{self.C} exceeds the 2^63 size range")
+        if self.eps is None:
+            self.eps = exp.eps
+        if self.samples is None:
+            self.samples = exp.samples
+        if min(self.resolve_N(), default=exp.min_N) < exp.min_N:
+            raise ConfigError(f"{self.experiment} needs N >= {exp.min_N}")
+        if self.samples is not None and self.samples < exp.min_samples:
+            raise ConfigError(f"{self.experiment} needs at least "
+                              f"{exp.min_samples} samples")
 
-    def resolve_N(self, default: list[int]) -> list[int]:
+    def resolve_N(self) -> list[int]:
         if self.N_list is not None:
             return [int(n) for n in self.N_list]
         if self.C is not None:
             return subsequence(self.C, self.ell_range[0], self.ell_range[1])
-        return default
+        return list(_EXPERIMENTS[self.experiment].sizes)
 
     def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key,
-                                         _TOLERANCES[self.experiment][key]))
+        return float(self.tolerances.get(
+            key, _EXPERIMENTS[self.experiment].tolerances[key]))
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """Everything the runner knows of one experiment."""
+
+    runner: Callable[[ExperimentConfig], list[dict]]
+    reads: tuple[str, ...]  # its config fields besides _ALWAYS_READ
+    sizes: tuple[int, ...]  # N when neither N_list nor C is given
+    tolerances: dict  # pass-threshold keys and their defaults
+    eps: float | None = None
+    samples: int | None = None
+    min_N: int = 2
+    min_samples: int = 2
 
 
 def _past_int64(C: int, ell: int) -> bool:
@@ -226,7 +207,7 @@ def _run_paircorr(cfg: ExperimentConfig) -> list[dict]:
     mu = MuMeasure(cfg.theta, seed=cfg.seed)
     tol = cfg.tol("pair_corr_rel")
     rows = []
-    for N in cfg.resolve_N([10 ** 5]):
+    for N in cfg.resolve_N():
         for alpha in _alphas(cfg, mu):
             ps = fractional_parts(cfg.theta, alpha, N + 1, 2 * N,
                                   exclude_squares=cfg.exclude_squares)
@@ -243,7 +224,7 @@ def _run_paircorr(cfg: ExperimentConfig) -> list[dict]:
 def _run_gaps(cfg: ExperimentConfig) -> list[dict]:
     mu = MuMeasure(cfg.theta, seed=cfg.seed)
     rows = []
-    for N in cfg.resolve_N([10 ** 6]):
+    for N in cfg.resolve_N():
         for alpha in _alphas(cfg, mu):
             ps = fractional_parts(cfg.theta, alpha, 1, N,
                                   exclude_squares=cfg.exclude_squares)
@@ -267,7 +248,7 @@ def _run_bprocess(cfg: ExperimentConfig) -> list[dict]:
     bound = cfg.tol("bprocess_const")
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    for N in cfg.resolve_N([10 ** 3, 10 ** 4]):
+    for N in cfg.resolve_N():
         for _ in range(10):
             alpha = float(rng.uniform(1.0, 2.0))
             j = int(rng.integers(int(math.ceil(N ** 0.6)),
@@ -285,16 +266,16 @@ def _run_bprocess(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_moments(cfg: ExperimentConfig) -> list[dict]:
     mu = MuMeasure(cfg.theta, seed=cfg.seed)
-    samples = cfg.samples or 2000
     ratio_bound = cfg.tol("moment_ratio")
     rows = []
-    for N in cfg.resolve_N([10 ** 4]):
+    for N in cfg.resolve_N():
         for j in (N, 2 * N, 4 * N):
-            est = second_moment_tilde_e(cfg.theta, N, j, mu, samples=samples)
+            est = second_moment_tilde_e(cfg.theta, N, j, mu,
+                                        samples=cfg.samples)
             ref = ratio_bound * N
             rows.append(_row(
                 "measure.second_moment_tilde_e", cfg.seed,
-                {"theta": cfg.theta, "N": N, "j": j, "samples": samples,
+                {"theta": cfg.theta, "N": N, "j": j, "samples": cfg.samples,
                  "stderr": est.stderr},
                 j, est.value, ref, est.value <= ref))
     return rows
@@ -303,19 +284,18 @@ def _run_moments(cfg: ExperimentConfig) -> list[dict]:
 def _run_roff_variance(cfg: ExperimentConfig) -> list[dict]:
     mu = MuMeasure(cfg.theta, seed=cfg.seed)
     f, h = default_f(), default_h()
-    samples = cfg.samples or 500
-    Ns = cfg.resolve_N([2 ** 10, 2 ** 12, 2 ** 14])
+    Ns = cfg.resolve_N()
     rows = []
     values = []
     for N in Ns:
         est = second_moment_roff(cfg.theta, N, f, h, cfg.eps, mu,
-                                 samples=samples)
+                                 samples=cfg.samples)
         prev = values[-1] if values else est.value
         values.append(est.value)
         rows.append(_row(
             "measure.second_moment_roff", cfg.seed,
-            {"theta": cfg.theta, "N": N, "eps": cfg.eps, "samples": samples,
-             "stderr": est.stderr},
+            {"theta": cfg.theta, "N": N, "eps": cfg.eps,
+             "samples": cfg.samples, "stderr": est.stderr},
             N, est.value, prev, est.value <= prev))
     if len(Ns) >= 2 and all(v > 0 for v in values):
         slope = float(np.polyfit(np.log(Ns), np.log(values), 1)[0])
@@ -329,7 +309,7 @@ def _run_roff_variance(cfg: ExperimentConfig) -> list[dict]:
 def _run_dio(cfg: ExperimentConfig) -> list[dict]:
     bound = cfg.tol("count_ratio")
     rows = []
-    for N in cfg.resolve_N([256]):
+    for N in cfg.resolve_N():
         for r in duq_bound_check(cfg.theta, N, cfg.eps):
             inputs = {"theta": cfg.theta, "N": N, "eps": cfg.eps,
                       "u": r["u"], "q": r["q"], "vacuous": r["vacuous"],
@@ -369,15 +349,28 @@ def _run_bs_check(cfg: ExperimentConfig) -> list[dict]:
     ]
 
 
-_RUNNERS = {
-    "paircorr": _run_paircorr,
-    "gaps": _run_gaps,
-    "bprocess": _run_bprocess,
-    "moments": _run_moments,
-    "roff-variance": _run_roff_variance,
-    "dio": _run_dio,
-    "bs-check": _run_bs_check,
+_THETA_N = ("theta", "N_list", "C", "ell_range")
+_POINTS = _THETA_N + ("alpha_mode", "alpha", "alpha_count", "exclude_squares")
+
+# one record per experiment, in the order the help text lists them
+_EXPERIMENTS = {
+    "paircorr": _Experiment(_run_paircorr, _POINTS, (10 ** 5,),
+                            {"pair_corr_rel": 0.10}),
+    "gaps": _Experiment(_run_gaps, _POINTS + ("bins",), (10 ** 6,), {}),
+    "bprocess": _Experiment(_run_bprocess, _THETA_N, (10 ** 3, 10 ** 4),
+                            {"bprocess_const": 10.0}),
+    "moments": _Experiment(_run_moments, _THETA_N + ("samples",), (10 ** 4,),
+                           {"moment_ratio": 20.0}, samples=2000),
+    "roff-variance": _Experiment(
+        _run_roff_variance, _THETA_N + ("eps", "samples"),
+        (2 ** 10, 2 ** 12, 2 ** 14), {"roff_slope": -0.2}, eps=0.05,
+        samples=500, min_samples=100),
+    # eps 0.05 gives N = 256 no rows; duq_bound_check needs N >= 4
+    "dio": _Experiment(_run_dio, _THETA_N + ("eps",), (256,),
+                       {"count_ratio": 50.0}, eps=0.1, min_N=4),
+    "bs-check": _Experiment(_run_bs_check, (), (), {"bs_slack": 1e-3}),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -392,12 +385,14 @@ def run(config: ExperimentConfig) -> dict:
             f"long double has {_precision.LD_NMANT} mantissa bits; the "
             "phase reductions need at least 63")
     t0 = time.time()
-    rows = _RUNNERS[config.experiment](config)
+    exp = _EXPERIMENTS[config.experiment]
+    rows = exp.runner(config)
     if not rows:
-        sizes = f"N={config.N_list}" if config.N_list else "its default N"
+        at = [f"{k}={getattr(config, k)}" for k in ("theta", "eps")
+              if k in exp.reads]
         raise ConfigError(
             f"{config.experiment} has no rows: its range is empty at "
-            f"theta={config.theta}, eps={config.eps}, {sizes}")
+            f"{', '.join(at + [f'N={config.resolve_N()}'])}")
     report = {
         "config": asdict(config),
         "experiment": config.experiment,
@@ -441,23 +436,25 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(fields, dict):
             raise ConfigError("config file must hold a JSON object")
     fields["experiment"] = args.experiment
-    if args.theta is not None:
-        fields["theta"] = args.theta
+    for flag, name in (("theta", "theta"), ("seed", "seed"), ("eps", "eps"),
+                       ("out", "output_dir")):
+        if getattr(args, flag) is not None:
+            fields[name] = getattr(args, flag)
     if args.N is not None:
         try:
             fields["N_list"] = [int(tok) for tok in args.N.split(",") if tok]
         except ValueError as exc:
             raise ConfigError(f"bad N list {args.N!r}") from exc
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.eps is not None:
-        fields["eps"] = args.eps
-    if args.out is not None:
-        fields["output_dir"] = args.out
     try:
-        return ExperimentConfig(**fields)
+        config = ExperimentConfig(**fields)
     except TypeError as exc:
         raise ConfigError(f"bad config field: {exc}") from exc
+    exp = _EXPERIMENTS.get(args.experiment)
+    unread = [k for k in fields if exp and k not in _ALWAYS_READ + exp.reads]
+    if unread:
+        raise ConfigError(
+            f"{args.experiment} does not read {', '.join(unread)}")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

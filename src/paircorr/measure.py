@@ -181,7 +181,7 @@ class MomentEstimate:
 
 def _estimate(vals: np.ndarray, samples: int, seed: int) -> MomentEstimate:
     vals = np.asarray(vals, dtype=np.float64)
-    err = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    err = float(vals.std(ddof=1) / np.sqrt(samples))
     return MomentEstimate(value=float(vals.mean()), stderr=err,
                           samples=samples, seed=seed)
 
@@ -238,6 +238,8 @@ def second_moment_tilde_e(theta: float, N: int, j: int, mu: MuMeasure,
     average, computed from the identical sample path.
     """
     _check_theta(theta, mu)
+    if samples < 2:
+        raise ValueError("second moments need at least 2 samples")
     if h is None:
         h = default_h()
     js = np.array([j], dtype=np.int64)

@@ -42,8 +42,9 @@ def test_config_validation():
     ExperimentConfig(experiment="gaps", bins=cli._MAX_BINS,
                      alpha_mode="sample",
                      alpha_count=cli._MAX_ALPHAS).validate()
-    assert cfg.resolve_N([10]) == [8, 27, 64]
-    assert ExperimentConfig(experiment="gaps").resolve_N([10]) == [10]
+    assert cfg.resolve_N() == [8, 27, 64]
+    assert (ExperimentConfig(experiment="gaps").resolve_N()
+            == list(cli._EXPERIMENTS["gaps"].sizes))
 
 
 def test_unknown_tolerance_key_exits_2(tmp_path):
@@ -215,11 +216,16 @@ def test_dio_below_its_smallest_size_exits_2(tmp_path, N):
     assert not (tmp_path / "out").exists()
 
 
+def _patch_runner(monkeypatch, experiment, runner):
+    record = dataclasses.replace(cli._EXPERIMENTS[experiment], runner=runner)
+    monkeypatch.setitem(cli._EXPERIMENTS, experiment, record)
+
+
 def test_value_error_inside_run_exits_2(tmp_path, monkeypatch, capsys):
     def refuse(cfg):
         raise ValueError("no such regime")
 
-    monkeypatch.setitem(cli._RUNNERS, "gaps", refuse)
+    _patch_runner(monkeypatch, "gaps", refuse)
     assert main(["gaps", "--N", "64", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "config error: no such regime\n"
     assert not (tmp_path / "out").exists()
@@ -227,8 +233,46 @@ def test_value_error_inside_run_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_zero_rows_exits_2(tmp_path):
     # theta 0.5, eps 0.05, N 256: no integer u in [0.95, 1.05] * log N
-    assert main(["dio", "--out", str(tmp_path)]) == 2
+    assert main(["dio", "--eps", "0.05", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "report.json").exists()
+
+
+def test_zero_rows_error_names_the_sizes_that_ran(tmp_path, capsys):
+    # (C, ell_range) = (2, [2, 2]) runs N = 4 alone: log 4 = 1.39 holds no
+    # integer u within 10%
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"C": 2, "ell_range": [2, 2]}))
+    assert main(["dio", "--config", str(cfg), "--eps", "0.1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: dio has no rows: its range is empty at theta=0.5, "
+        "eps=0.1, N=[4]\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_dio_runs_at_its_defaults(tmp_path):
+    assert main(["dio", "--out", str(tmp_path)]) in (0, 1)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["rows"] and report["config"]["eps"] == 0.1
+
+
+@pytest.mark.parametrize("experiment, fields, flags", [
+    ("bs-check", {}, ["--theta", "0.3"]),
+    ("paircorr", {}, ["--eps", "0.1"]),
+    ("gaps", {"samples": 10}, []),
+])
+def test_field_the_experiment_does_not_read_exits_2(tmp_path, monkeypatch,
+                                                     experiment, fields,
+                                                     flags):
+    def never(cfg):
+        raise AssertionError("the experiment must not run")
+
+    _patch_runner(monkeypatch, experiment, never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(fields))
+    assert main([experiment, "--config", str(cfg), *flags,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment, fields", [
@@ -275,7 +319,7 @@ def test_rows_past_their_cap_exit_2(tmp_path, monkeypatch, experiment,
     def never(cfg):
         raise AssertionError("the experiment must not run")
 
-    monkeypatch.setitem(cli._RUNNERS, experiment, never)
+    _patch_runner(monkeypatch, experiment, never)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(fields))
     assert main([experiment, "--config", str(cfg),
@@ -323,3 +367,41 @@ def test_config_fuzz_raises_only_config_error(tmp_path_factory, experiment,
         _load_config(args).validate()
     except ConfigError:
         pass
+
+
+# small, out-of-range and wrong-type values for the fields that shape a run
+_ANY = (st.integers(-2, 120) | st.floats(-1.0, 2.0) | st.just(float("nan"))
+        | st.sampled_from([None, True, "0.5", [2, 3], {}]))
+_RUN_FIELDS = {
+    "theta": st.sampled_from([0.01, 0.3, 0.5, 0.7, 0.99]) | _ANY,
+    "eps": st.sampled_from([1e-3, 0.05, 0.1, 0.19, 0.2]) | _ANY,
+    "samples": st.sampled_from([2, 100, 101]) | _ANY,
+    "bins": st.sampled_from([1, 80, 10_000, 10_001]) | _ANY,
+    "alpha_mode": st.sampled_from(["fixed", "sample", "Sample"]) | _ANY,
+    "alpha_count": st.sampled_from([1, 3, 1001]) | _ANY,
+    "C": st.sampled_from([1, 2, 3, 64]) | _ANY,
+    "ell_range": st.sampled_from([[2, 3], [3, 2], [2, 1001], [2]]) | _ANY,
+}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(experiment=st.sampled_from(EXPERIMENTS),
+       sizes=st.lists(st.integers(-1, 300), min_size=1, max_size=2),
+       fields=st.fixed_dictionaries({}, optional=_RUN_FIELDS),
+       unread=st.booleans())
+def test_whole_run_fuzz_keeps_the_exit_code_contract(tmp_path_factory,
+                                                     experiment, sizes,
+                                                     fields, unread):
+    # every run is given its sizes, so no default ladder runs; half the
+    # configs keep only the fields the experiment reads, so that they run
+    if not unread:
+        reads = cli._EXPERIMENTS[experiment].reads
+        fields = {k: v for k, v in fields.items() if k in reads}
+    out = tmp_path_factory.mktemp("run")
+    cfg = out / "c.json"
+    cfg.write_text(json.dumps(fields))
+    rc = main([experiment, "--config", str(cfg),
+               "--N=" + ",".join(map(str, sizes)), "--out", str(out / "o")])
+    assert rc in (0, 1, 2, 3)
+    if rc == 2:
+        assert not (out / "o" / "report.json").exists()

@@ -170,6 +170,13 @@ def test_second_moment_tilde_e_basics(mu):
     assert est2.samples == 32
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_second_moment_tilde_e_needs_two_samples(mu, samples):
+    # one sample has no standard error, none has no mean
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        second_moment_tilde_e(0.5, 2048, 2048, mu, samples=samples)
+
+
 def test_second_moment_diagonal_dominance(mu):
     total, diag = second_moment_tilde_e(0.5, 10**4, 10**4, mu, samples=256,
                                         split=True)
