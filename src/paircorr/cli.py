@@ -297,7 +297,8 @@ def _run_roff_variance(cfg: ExperimentConfig) -> list[dict]:
             {"theta": cfg.theta, "N": N, "eps": cfg.eps,
              "samples": cfg.samples, "stderr": est.stderr},
             N, est.value, prev, est.value <= prev))
-    if len(Ns) >= 2 and all(v > 0 for v in values):
+    # a slope needs two distinct sizes; repeated ones fit a single point
+    if len(set(Ns)) >= 2 and all(v > 0 for v in values):
         slope = float(np.polyfit(np.log(Ns), np.log(values), 1)[0])
         target = cfg.tol("roff_slope")
         rows.append(_row("measure.second_moment_roff.slope", cfg.seed,

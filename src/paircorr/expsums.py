@@ -181,56 +181,77 @@ def _flatten_windows(lo, lens):
     return rep, m
 
 
-def _short_terms(spec, h: TestKernel, js: np.ndarray):
-    """The stationary-phase terms of every E~_j, j in js, in one table.
+def _short_terms(spec, h: TestKernel, js: np.ndarray, windows=None,
+                 start: int = 0, stop: int | None = None):
+    """The stationary-phase terms of the (dilate, j) pairs start..stop-1 of
+    spec over js (all of them by default), in one table.
 
-    spec is a SequenceSpec or a DilateBlock.  Term k belongs to pair
-    rep[k], the (dilate, j) pair (alphas[rep // J], js[rep % J]) with
-    J = len(js), and to one m of that pair's window; over its terms,
+    spec is a SequenceSpec or a DilateBlock; pair p is the (dilate, j) pair
+    (alphas[p // J], js[p % J]) with J = len(js), and windows, when given,
+    are _windows(spec, js).  Term k belongs to pair start + rep[k] and to
+    one m of that pair's window; over its terms,
     E~_j = c1 (alpha*j)**(Theta/2) * sum_k amp_k e(ph_k), with
     amp = m**(-(Theta+1)/2) h(x_m/N) and ph the reduced phase.
     Shared tables: c2 * A with A = (alpha*j)**Theta per pair, and
     B_m = m**(1-Theta) (long double) and m**(-(Theta+1)/2) (float64) per m
-    in the union of the windows; the phase of a term is (c2 * A) * B_m and
+    in the union of the range's windows; the phase of a term is (c2 * A) * B_m and
     its m-weight is a gather, so neither takes a per-term power.  Every
     term is computed elementwise, so a pair's terms have the same bits in
-    a block as alone.
-    Returns (rep, amp, ph, (lo, hi, lens)), windows per pair.
+    any range of pairs as alone.
+    Returns (rep, amp, ph, windows), the windows of every pair.
     """
     TH = spec.Theta
     th, N = spec.theta, spec.N
-    windows = _windows(spec, js)
+    if windows is None:
+        windows = _windows(spec, js)
     lo, _, lens = windows
+    lo, lens = lo[start:stop], lens[start:stop]
     if not lens.any():
         return np.zeros(0, np.int64), np.zeros(0), np.zeros(0), windows
     rep, m = _flatten_windows(lo, lens)
     m_base = int(m.min())
+    dm = m - m_base
     ms = np.arange(m_base, int(m.max()) + 1)
     btab = _pow_ld(ms, 1.0 - TH)
     ptab = ms.astype(np.float64) ** (-(TH + 1.0) / 2.0)
-    taj = np.multiply.outer(th * spec.alphas, js.astype(np.float64)).ravel()
+    d, k = np.divmod(np.arange(start, start + lens.size), len(js))
+    alphas, jp = spec.alphas[d], js[k]
+    taj = (th * alphas) * jp.astype(np.float64)
     xm = (taj[rep] / m.astype(np.float64)) ** TH
-    amp = ptab[m - m_base] * h(xm / N)
+    amp = ptab[dm] * h(xm / N)
     del xm  # before the long-double temporaries of the phase
     th_ld = LD(th)
     c2_ld = np.power(th_ld, LD(TH - 1.0)) - np.power(th_ld, LD(TH))
-    aj_ld = np.multiply.outer(as_ld(spec.alphas), as_ld(js)).ravel()
-    ca_ld = c2_ld * np.power(aj_ld, LD(TH))
-    ph = frac(ca_ld[rep] * btab[m - m_base])
+    ca_ld = c2_ld * np.power(as_ld(alphas) * as_ld(jp), LD(TH))
+    ph = frac(ca_ld[rep] * btab[dm])
     return rep, amp, ph, windows
 
 
 def _short_components(spec, h: TestKernel, js: np.ndarray):
     """Per-pair short-form data: |E~_j|^2 and its diagonal (n = m) part,
-    one entry per (dilate, j) pair of spec, dilate-major."""
-    rep, amp, ph, windows = _short_terms(spec, h, js)
+    one entry per (dilate, j) pair of spec, dilate-major.
+
+    The pairs run in chunks of about _CHUNK terms, cut at window
+    boundaries, so a chunk's term tables stay in cache.  A pair's terms
+    lie in one chunk and bincount adds them in the same order as over one
+    table, so the chunking moves no bit.
+    """
+    windows = _windows(spec, js)
+    lens = windows[2]
+    P = lens.size
+    ends = np.cumsum(lens)
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, int(lens.sum()), _CHUNK))
+    bounds = np.unique(np.concatenate(([0], cuts + 1, [P]))).tolist()
+    sr, si, dg = np.zeros(P), np.zeros(P), np.zeros(P)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        # e_frac is looked up at call time, as a wrapper may replace it
+        rep, amp, ph, _ = _short_terms(spec, h, js, windows, a, b)
+        e = e_frac(ph)
+        sr[a:b] = np.bincount(rep, weights=amp * e.real, minlength=b - a)
+        si[a:b] = np.bincount(rep, weights=amp * e.imag, minlength=b - a)
+        dg[a:b] = np.bincount(rep, weights=amp * amp, minlength=b - a)
     aj = np.multiply.outer(spec.alphas, js.astype(np.float64)).ravel()
     pref = abs(bprocess_constants(spec.theta).c1) ** 2 * aj ** spec.Theta
-    P = aj.size
-    vals = amp * e_frac(ph)
-    sr = np.bincount(rep, weights=vals.real, minlength=P)
-    si = np.bincount(rep, weights=vals.imag, minlength=P)
-    dg = np.bincount(rep, weights=amp * amp, minlength=P)
     return pref * (sr ** 2 + si ** 2), pref * dg, windows
 
 

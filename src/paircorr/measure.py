@@ -27,9 +27,11 @@ class MeasureError(Exception):
 
 # candidates in a first rejection round of sample_alphas
 _FIRST_ROUND = 64
-# short-form terms per block of dilates.  An N = 2**14 sample alone holds
-# 3.7e5 to 4.8e5 (theta = 1/2, eps = 0.05) and sets the peak memory; blocks
-# of 2**16 stay far below it, and larger ones ran no faster (2-vCPU x86).
+# short-form terms per block of dilates, which spreads the samples over the
+# pool's workers.  _short_components builds a block's terms in chunks of
+# about _pool._CHUNK, so the terms of a block, or of an N = 2**14 sample
+# alone (3.7e5 to 4.8e5 at theta = 1/2, eps = 0.05), no longer set the peak
+# memory; blocks larger than 2**16 ran no faster (2-vCPU x86).
 _BLOCK_TERMS = 1 << 16
 
 

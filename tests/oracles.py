@@ -2,10 +2,11 @@
 
 An oracle keeps its own copy of the formulas it checks: r_off_pairs and
 moments_per_sample build their phases and amplitudes themselves, never
-through expsums._short_terms, so a fault in that shared term table cannot
-cancel out of a comparison with them.  Only the m-windows and the j-band
-come from expsums.  The module is the home of every evaluation that only
-tests call:
+through expsums._short_terms, and take e(.) from numpy's exp rather than
+the library's e_frac, so a fault in that shared term table or in e_frac
+cannot cancel out of a comparison with them.  Only the m-windows and the
+j-band come from expsums.  The module is the home of every evaluation that
+only tests call:
 
 - beurling_B, Beurling's series summed term by term, which
   beurling._b_on_grid is checked against;
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paircorr._precision import LD, as_ld, csum, e_frac, frac
+from paircorr._precision import LD, as_ld, csum, frac
 from paircorr.beurling import BeurlingSelberg
 from paircorr.diophantine import DioInstance, ZMultiset, _products, build_zset
 from paircorr.expsums import (SequenceSpec, _band, _pow_ld, _windows,
@@ -33,6 +34,12 @@ from paircorr.expsums import (SequenceSpec, _band, _pow_ld, _windows,
 from paircorr.kernels import FourierTable, default_h, integrate
 from paircorr.measure import (MuMeasure, _check_theta, _osc_panels,
                               _stationary_scale)
+
+
+def e(ph):
+    """exp(2 pi i ph) through numpy's exp, independent of the library's
+    table-based e_frac."""
+    return np.exp(2j * np.pi * ph)
 
 
 def r_off_pairs(spec, f, h, eps=0.05) -> float:
@@ -72,7 +79,7 @@ def r_off_pairs(spec, f, h, eps=0.05) -> float:
         mf = m.astype(np.float64)
         xm = (th * al * float(j) / mf) ** TH
         a = mf ** (-(TH + 1.0) / 2.0) * h(xm / N)
-        quad = a @ (e_frac(ph) @ a) - np.dot(a, a)
+        quad = a @ (e(ph) @ a) - np.dot(a, a)
         acc += fv[idx] * c1sq * (al * float(j)) ** TH * quad
     acc *= 2.0 / N ** 2
     if abs(acc.imag) > 1e-10 * (abs(acc.real) + 1.0):
@@ -96,7 +103,7 @@ def _short_sum(spec, h, j, lo, hi):
     mf = m.astype(np.float64)
     a = mf ** (-(TH + 1.0) / 2.0) * h((th * al * float(j) / mf) ** TH / N)
     pref = abs(bprocess_constants(th).c1) ** 2 * (al * float(j)) ** TH
-    return (pref * abs(csum(a * e_frac(ph))) ** 2,
+    return (pref * abs(csum(a * e(ph))) ** 2,
             pref * math.fsum((a * a).tolist()))
 
 

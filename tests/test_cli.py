@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,21 @@ def test_roff_variance_too_few_samples_exits_2(tmp_path):
     cfg.write_text(json.dumps({"samples": 50}))
     assert main(["roff-variance", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("sizes, slope", [("300,300", False),
+                                          ("300,200,300", True)])
+def test_roff_variance_fits_its_slope_over_distinct_sizes(tmp_path, sizes,
+                                                          slope):
+    # warnings as errors: a fit over one repeated size warns (RankWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["roff-variance", "--N", sizes,
+                     "--out", str(tmp_path)]) in (0, 1)
+    report = json.loads((tmp_path / "report.json").read_text())
+    ops = [r["op"] for r in report["rows"]]
+    assert ops.count("measure.second_moment_roff") == len(sizes.split(","))
+    assert ("measure.second_moment_roff.slope" in ops) is slope
 
 
 @pytest.mark.parametrize("N", [2, 3])

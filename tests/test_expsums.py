@@ -10,15 +10,15 @@ import pytest
 
 from paircorr import expsums
 from paircorr._pool import _CHUNK
-from paircorr._precision import csum, e_frac
-from paircorr.expsums import (DilateBlock, SequenceSpec, _direct_abs2,
-                              _index_range, _short_components,
+from paircorr._precision import csum
+from paircorr.expsums import (DilateBlock, SequenceSpec, _band,
+                              _direct_abs2, _index_range, _short_components,
                               _short_terms, _windows, bprocess_constants,
                               exp_sum_bprocess, exp_sum_direct, exp_sum_pair,
                               pair_corr_smooth, s_sum, s_tilde_parts)
 from paircorr.kernels import TestKernel, fourier, integrate, make_bump
 
-from oracles import diagonal_w_term, r_off_pairs, stationary_point
+from oracles import diagonal_w_term, e, r_off_pairs, stationary_point
 
 
 def test_spec_validation():
@@ -344,10 +344,76 @@ def test_block_of_dilates_keeps_each_samples_bits(h, theta, N):
             p = d * J + k
             assert (one_lo[k], one_hi[k]) == (lo[p], hi[p])
             mine = rep == p
-            short = (c1 * (spec.alpha * j) ** (spec.Theta / 2.0)
-                     * csum(amp[mine] * e_frac(ph[mine])))
-            assert (np.complex128(short).tobytes()
-                    == np.complex128(exp_sum_bprocess(spec, h, j)).tobytes())
+            _, one_amp, one_ph, _ = _short_terms(spec, h, np.array([j]))
+            assert amp[mine].tobytes() == one_amp.tobytes()
+            assert ph[mine].tobytes() == one_ph.tobytes()
+            # e(.) from numpy's exp, not the library's e_frac
+            pref = c1 * (spec.alpha * j) ** (spec.Theta / 2.0)
+            short = pref * csum(amp[mine] * e(ph[mine]))
+            assert (abs(short - exp_sum_bprocess(spec, h, j))
+                    <= 2e-15 * abs(pref) * np.abs(amp[mine]).sum())
+
+
+def _short_cases():
+    """(block, js) cases for the chunked short form: one dilate at N = 2**12
+    over the eps = 0.05 band (4.9e4 terms, two chunks of 2**15), and
+    several dilates with j = 1, whose window is empty, and windows of up to
+    a few dozen terms."""
+    rng = np.random.default_rng(2026)
+    one = DilateBlock(0.5, np.array([1.37]), 2 ** 12)
+    several = DilateBlock(0.3, np.array([1.0, 1.5, 2.0]), 1000)
+    mixed = DilateBlock(0.7, rng.uniform(1.0, 2.0, 2), 2 ** 12)
+    return [(one, _band(SequenceSpec(0.5, 1.0, 2 ** 12), 0.05)),
+            (several, np.arange(1, 1200)),
+            (mixed, np.unique(rng.integers(1, 2 ** 13, 300)))]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2 ** 15])
+def test_short_components_bytes_do_not_depend_on_the_chunk(monkeypatch, h,
+                                                           chunk):
+    ranges = []
+    terms = expsums._short_terms
+
+    def spy(spec, h, js, windows=None, start=0, stop=None):
+        ranges.append((start, stop))
+        return terms(spec, h, js, windows, start, stop)
+
+    chunks, empty, long = [], False, False
+    for block, js in _short_cases():
+        monkeypatch.setattr(expsums, "_CHUNK", 2 ** 62)
+        whole = _short_components(block, h, js)
+        monkeypatch.setattr(expsums, "_CHUNK", chunk)
+        monkeypatch.setattr(expsums, "_short_terms", spy)
+        ranges.clear()
+        got = _short_components(block, h, js)
+        monkeypatch.setattr(expsums, "_short_terms", terms)
+        for a, b in zip(got[:2] + got[2], whole[:2] + whole[2]):
+            assert a.tobytes() == b.tobytes()
+        lens = got[2][2]
+        empty |= bool((lens == 0).any())
+        long |= bool(lens.max() > chunk)
+        chunks.append(len(ranges))
+        # the ranges tile the pairs; a chunk's pairs but its last hold
+        # fewer than `chunk` terms
+        ends = [b for _, b in ranges]
+        assert [a for a, _ in ranges] == [0] + ends[:-1]
+        assert ends[-1] == lens.size
+        for a, b in ranges:
+            assert lens[a:b - 1].sum() < chunk
+        # each pair equals its own single-pair run
+        J = len(js)
+        picks = np.unique(np.concatenate((
+            np.linspace(0, lens.size - 1, 25).astype(int),
+            [np.argmax(lens), np.argmin(lens)],
+            [b - 1 for _, b in ranges[:5]])))
+        for p in picks.tolist():
+            spec = SequenceSpec(block.theta, float(block.alphas[p // J]),
+                                block.N)
+            one = _short_components(spec, h, js[p % J:p % J + 1])
+            assert got[0][p:p + 1].tobytes() == one[0].tobytes()
+            assert got[1][p:p + 1].tobytes() == one[1].tobytes()
+    assert empty and chunks[0] > 1
+    assert long or chunk == 2 ** 15  # windows longer than a chunk
 
 
 def test_block_of_dilates_validation():

@@ -1,5 +1,6 @@
 """Long-double reduction mod 1: frac against the floor form, bit for bit;
-fuzzy integer rounding against the inline formulas it replaced."""
+e(.) by its turn table against mpmath; fuzzy integer rounding against the
+inline formulas it replaced."""
 
 import math
 
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from paircorr._precision import LD, as_ld, frac, iceil, ifloor
+from paircorr._precision import LD, as_ld, e_frac, frac, iceil, ifloor
 from paircorr.diophantine import dio_instance
 from paircorr.expsums import DilateBlock, SequenceSpec, _band, _windows
 
@@ -125,6 +126,63 @@ def test_paper_phases_against_mpmath():
             d = abs(mpmath.mpf(float(frac(x))) - mpmath.frac(exact))
             d = min(d, 1 - d)
             assert float(d) <= 4 * 2.0 ** -63 * float(exact) + 2.0 ** -53
+
+
+@pytest.mark.parametrize("sign", ["positive", "negative", "mixed"])
+def test_with_and_without_negative_remainders(sign):
+    # all x > 0 skip the mending of negative remainders and -0.0; one
+    # element at or below 0 (a tiny negative rounds to -0.0 in float64)
+    # brings it back
+    rng = np.random.default_rng(2014)
+    x = as_ld(rng.uniform(0.0, 1e9, 20_000)) + as_ld(rng.random(20_000))
+    x = np.concatenate([x, as_ld([7.0, LD(10) ** -4000, TWO_63 - 1])])
+    if sign == "negative":
+        x = -x
+    elif sign == "mixed":
+        x[::3] *= -1
+    odd = [0.0, -0.0, -5.0, -(LD(10) ** -4000), -1e-300, -0.5]
+    for y in [x] + [np.concatenate([x, as_ld([v])]) for v in odd]:
+        got = frac(y)
+        assert_same_bits(got, floor_form(y))
+        assert not np.signbit(got).any()
+
+
+def exact_e(x):
+    with mpmath.workdps(40):
+        return mpmath.expjpi(2 * mpmath.mpf(float(x)))
+
+
+def test_e_frac_against_mpmath():
+    rng = np.random.default_rng(1024)
+    turns = np.arange(1025) / 1024
+    x = np.concatenate([
+        rng.random(4000), [0.0, 1.0, 1 - 2.0 ** -53],
+        turns, np.nextafter(turns, 2.0), np.nextafter(turns, -1.0),
+        [-1e-300, -2.0 ** -60, -2.0 ** -53, -1e-17]])
+    got = e_frac(x)
+    assert got.dtype == np.complex128 and got.shape == x.shape
+    with mpmath.workdps(40):
+        err = max(abs(mpmath.mpc(complex(z)) - exact_e(v))
+                  for z, v in zip(got.tolist(), x.tolist()))
+    assert err <= 3e-16
+    square = x[:4000].reshape(40, 100)
+    assert e_frac(square).tobytes() == got[:4000].tobytes()
+
+
+def test_e_frac_quarter_turns_are_exact():
+    got = e_frac(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+    assert got.tolist() == [1, 1j, -1, -1j, 1]
+    assert e_frac(0.25) == 1j and type(e_frac(0.25)) is np.complex128
+    assert e_frac(np.zeros((2, 0))).shape == (2, 0)
+
+
+def test_e_frac_bits_do_not_depend_on_the_array():
+    # each element alone, in a long array and in a strided view
+    x = np.random.default_rng(3).random(300)
+    got = e_frac(x)
+    alone = np.concatenate([e_frac(x[i:i + 1]) for i in range(x.size)])
+    assert alone.tobytes() == got.tobytes()
+    assert e_frac(x[::3]).tobytes() == got[::3].tobytes()
 
 
 # the inline rounding of _windows, _band and dio_instance before iceil and
