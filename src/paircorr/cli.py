@@ -116,7 +116,11 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Check every field, then fill eps and samples from the record."""
+        """Check every field, then fill eps and samples from the record.
+
+        A field away from its default that the experiment does not read
+        is an error, not silently dropped.
+        """
         for name, (ok, kind) in _FIELDS.items():
             value = getattr(self, name)
             if not ok(value):
@@ -125,6 +129,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {', '.join(EXPERIMENTS)}")
         exp = _EXPERIMENTS[self.experiment]
+        default = ExperimentConfig(self.experiment)
+        unread = [name for name in _FIELDS
+                  if name not in _ALWAYS_READ + exp.reads
+                  and getattr(self, name) != getattr(default, name)]
+        if unread:
+            raise ConfigError(
+                f"{self.experiment} does not read {', '.join(unread)}")
         unknown = [k for k in self.tolerances if k not in exp.tolerances]
         if unknown:
             raise ConfigError(
@@ -427,35 +438,29 @@ def run(config: ExperimentConfig) -> dict:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    fields = {}
+    given = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                fields = json.load(fh)
+                given = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {args.config}: {exc}") from exc
-        if not isinstance(fields, dict):
+        if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
-    fields["experiment"] = args.experiment
+    given["experiment"] = args.experiment
     for flag, name in (("theta", "theta"), ("seed", "seed"), ("eps", "eps"),
                        ("out", "output_dir")):
         if getattr(args, flag) is not None:
-            fields[name] = getattr(args, flag)
+            given[name] = getattr(args, flag)
     if args.N is not None:
         try:
-            fields["N_list"] = [int(tok) for tok in args.N.split(",") if tok]
+            given["N_list"] = [int(tok) for tok in args.N.split(",") if tok]
         except ValueError as exc:
             raise ConfigError(f"bad N list {args.N!r}") from exc
     try:
-        config = ExperimentConfig(**fields)
+        return ExperimentConfig(**given)
     except TypeError as exc:
         raise ConfigError(f"bad config field: {exc}") from exc
-    exp = _EXPERIMENTS.get(args.experiment)
-    unread = [k for k in fields if exp and k not in _ALWAYS_READ + exp.reads]
-    if unread:
-        raise ConfigError(
-            f"{args.experiment} does not read {', '.join(unread)}")
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -362,8 +362,11 @@ def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     """R = (1/N) sum_{x != y} h(x/N) h(y/N) F_N(alpha(x^theta - y^theta)).
 
     F_N is the 1-periodisation of f(N .), so only pairs within max-support/N
-    on the circle contribute; those are found by a sort-and-sweep pass and
-    the cost scales with the number of contributing pairs, not with N^2.
+    on the circle contribute.  Over the sorted points each point x meets
+    the points after it, wrapped ones as y + 1, offset by offset: on sorted
+    points one that misses at an offset misses at every later one, so each
+    offset visits only the points still hitting and the cost scales with
+    the number of contributing pairs, not with N^2.
     method "brute" forces the quadratic reference evaluation.
     """
     if method not in ("auto", "brute"):
@@ -376,7 +379,7 @@ def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     v = frac(as_ld(spec.alpha) * w)
     hw = h(ys / N)
     r = max(abs(f.support_lo), abs(f.support_hi)) / N
-    if method == "brute" or r >= 0.49 or ys.size < 16:
+    if method == "brute" or r >= 0.49:
         d = v[:, None] - v[None, :]
         F = periodize(f, N, d.ravel()).reshape(d.shape)
         total = hw @ F @ hw - periodize(f, N, 0.0) * np.dot(hw, hw)
@@ -384,19 +387,21 @@ def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     order = np.argsort(v, kind="stable")
     vs = v[order]
     hs = hw[order]
-    ext_v = np.concatenate([vs, vs + 1.0])
-    ext_h = np.concatenate([hs, hs])
-    hi_idx = np.searchsorted(ext_v, vs + r, side="right")
-    counts = np.maximum(hi_idx - np.arange(ys.size) - 1, 0)
-    total_pairs = int(counts.sum())
-    if total_pairs == 0:
-        return 0.0
-    left = np.repeat(np.arange(ys.size), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    right = (np.arange(total_pairs) - np.repeat(starts, counts)
-             + np.repeat(np.arange(ys.size) + 1, counts))
-    d = ext_v[right] - vs[left]
-    # each unordered pair appears once; both orientations enter through
-    # f(N d) + f(-N d), exact because N(1 - d) clears the support of f
-    vals = hs[left] * ext_h[right] * (f(N * d) + f(-N * d))
-    return float(vals.sum() / N)
+    M = vs.size
+    i = np.arange(M)
+    q = vs + r
+    total = 0.0
+    for k in range(1, M):
+        j = i + k
+        wrap = j >= M
+        j[wrap] -= M
+        y = vs[j] + wrap
+        hit = y <= q[i]
+        i, j, y = i[hit], j[hit], y[hit]
+        if i.size == 0:
+            break
+        d = y - vs[i]
+        # each unordered pair appears once; both orientations enter through
+        # f(N d) + f(-N d), exact because N(1 - d) clears the support of f
+        total += float((hs[i] * hs[j] * (f(N * d) + f(-N * d))).sum())
+    return total / N

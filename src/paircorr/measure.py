@@ -15,8 +15,8 @@ import numpy as np
 
 from ._pool import _thread_workers, pmap
 from .expsums import (DilateBlock, SequenceSpec, _short_components,
-                      _tilde_from_values, _windows, bprocess_constants,
-                      _band, _pow_ld)
+                      _tilde_from_values, bprocess_constants, _band,
+                      _pow_ld)
 from .kernels import (FourierTable, TestKernel, _gl_grid, default_h,
                       default_rho, integrate)
 
@@ -27,12 +27,12 @@ class MeasureError(Exception):
 
 # candidates in a first rejection round of sample_alphas
 _FIRST_ROUND = 64
-# short-form terms per block of dilates, which spreads the samples over the
-# pool's workers.  _short_components builds a block's terms in chunks of
-# about _pool._CHUNK, so the terms of a block, or of an N = 2**14 sample
-# alone (3.7e5 to 4.8e5 at theta = 1/2, eps = 0.05), no longer set the peak
-# memory; blocks larger than 2**16 ran no faster (2-vCPU x86).
-_BLOCK_TERMS = 1 << 16
+# (dilate, j) pairs per block of dilates: a block of samples is one pool
+# job, and a sample whose band holds more pairs goes alone.
+# _short_components builds a block's terms in chunks of about _pool._CHUNK,
+# so no block sets the peak memory; blocks of 2**15 pairs raised the
+# mc-variance peak from 128 to 131 MB (2-vCPU x86).
+_BLOCK_PAIRS = 1 << 13
 
 
 @dataclass
@@ -188,46 +188,22 @@ def _estimate(vals: np.ndarray, samples: int, seed: int) -> MomentEstimate:
                           samples=samples, seed=seed)
 
 
-def _term_counts(theta: float, N: int, alphas: np.ndarray,
-                 js: np.ndarray) -> np.ndarray:
-    """Short-form terms over js per dilate, from the window lengths alone;
-    a few dilates at a time, so the (dilate, j) table stays small."""
-    step = max(1, _BLOCK_TERMS // len(js))
-    return np.concatenate([
-        _windows(DilateBlock(theta, alphas[i:i + step], N), js)[2]
-        .reshape(-1, len(js)).sum(axis=1)
-        for i in range(0, len(alphas), step)])
-
-
-def _block_bounds(counts: np.ndarray, workers: int) -> list[int]:
-    """Cuts between consecutive samples, so that each block holds at most
-    _BLOCK_TERMS terms (a bigger sample goes alone) and about
-    1/workers of all terms, which gives every worker a block when the
-    counts allow."""
-    cap = min(_BLOCK_TERMS, -(-int(counts.sum()) // workers))
-    bounds, held = [0], 0
-    for i, c in enumerate(counts.tolist()):
-        if held and held + c > cap:
-            bounds.append(i)
-            held = 0
-        held += c
-    bounds.append(len(counts))
-    return bounds
-
-
 def _per_block(theta: float, N: int, mu: MuMeasure, samples: int,
                js: np.ndarray, fn) -> np.ndarray:
     """fn(DilateBlock) over blocks of consecutive samples, its rows joined
     in sample order; sample i's dilate is the first draw of substream i.
 
-    Blocks are cut by their short-form term count over js, read from the
-    window lengths before any term is built; the shared pool runs them.
+    The samples are cut into at least one block per worker, each of at
+    most _BLOCK_PAIRS (dilate, j) pairs or a single dilate, as evenly as
+    the count allows; the shared pool runs them.
     """
     alphas = mu.first_draws(samples)
     workers = _thread_workers()
-    bounds = _block_bounds(_term_counts(theta, N, alphas, js), workers)
+    per_block = max(1, _BLOCK_PAIRS // len(js))
+    count = max(min(workers, samples), -(-samples // per_block))
+    cuts = [i * samples // count for i in range(count + 1)]
     blocks = [DilateBlock(theta, alphas[a:b], N)
-              for a, b in zip(bounds[:-1], bounds[1:])]
+              for a, b in zip(cuts[:-1], cuts[1:])]
     return np.concatenate(pmap(fn, blocks, workers))
 
 

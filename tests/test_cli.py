@@ -276,6 +276,7 @@ def test_dio_runs_at_its_defaults(tmp_path):
     ("bs-check", {}, ["--theta", "0.3"]),
     ("paircorr", {}, ["--eps", "0.1"]),
     ("gaps", {"samples": 10}, []),
+    ("bprocess", {"samples": 7, "bins": 3}, []),
 ])
 def test_field_the_experiment_does_not_read_exits_2(tmp_path, monkeypatch,
                                                      experiment, fields,
@@ -289,6 +290,28 @@ def test_field_the_experiment_does_not_read_exits_2(tmp_path, monkeypatch,
     assert main([experiment, "--config", str(cfg), *flags,
                  "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+    # the same request through the API
+    given = dict(fields)
+    if flags:
+        given[flags[0].lstrip("-")] = float(flags[1])
+    with pytest.raises(ConfigError, match="does not read"):
+        cli.run(ExperimentConfig(experiment, output_dir=str(tmp_path / "out"),
+                                 **given))
+    assert not (tmp_path / "out").exists()
+
+
+def test_api_field_at_its_default_counts_as_not_given():
+    # the unread check walks the checked fields: every field but experiment
+    assert ({"experiment", *cli._FIELDS}
+            == {f.name for f in dataclasses.fields(ExperimentConfig)})
+    ExperimentConfig("bs-check", theta=0.5, bins=80, tolerances={},
+                     samples=None).validate()
+    # validate fills eps and samples only where the experiment reads
+    # them, so a second call passes too
+    for name in ("roff-variance", "bprocess"):
+        cfg = ExperimentConfig(name, N_list=[1024])
+        cfg.validate()
+        cfg.validate()
 
 
 @pytest.mark.parametrize("experiment, fields", [

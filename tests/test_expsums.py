@@ -238,11 +238,23 @@ def test_s_sum_manual_reconstruction(f, h):
 
 def test_pair_corr_smooth_sweep_equals_brute(f, h):
     rng = np.random.default_rng(7)
-    for _ in range(3):
-        spec = SequenceSpec(0.5, float(rng.uniform(1.0, 2.0)), 512)
+    specs = [SequenceSpec(0.5, float(rng.uniform(1.0, 2.0)), 512)
+             for _ in range(3)]
+    # small N: at N = 2 the radius 1/2 takes the brute path
+    specs += [SequenceSpec(theta, float(rng.uniform(1.0, 2.0)), N)
+              for N in range(2, 17) for theta in (0.3, 0.5)]
+    # alpha = 1, theta = 1/2: the 13 squares in (1024, 2048) all sit at 0,
+    # a cluster 12 offsets deep
+    specs.append(SequenceSpec(0.5, 1.0, 1024))
+    for spec in specs:
         a = pair_corr_smooth(spec, f, h)
         b = pair_corr_smooth(spec, f, h, method="brute")
         assert a == pytest.approx(b, abs=1e-12)
+    # a wide kernel: about 40 neighbours a point
+    wide = make_bump(-20.0, 20.0)
+    spec = SequenceSpec(0.7, 1.37, 512)
+    assert pair_corr_smooth(spec, wide, h) == pytest.approx(
+        pair_corr_smooth(spec, wide, h, method="brute"), rel=1e-12)
 
 
 def test_pair_corr_smooth_rejects_an_unknown_method(monkeypatch, f, h):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from paircorr import measure
+from paircorr import expsums, measure
 from paircorr._precision import as_ld
 from paircorr.expsums import SequenceSpec, _band, bprocess_constants
 from paircorr.kernels import FourierTable, default_h, make_bump
@@ -240,19 +240,61 @@ def test_first_draws_fall_back_when_a_round_rejects_all(monkeypatch):
     assert 0 < len(calls) < 40
 
 
-def test_block_bounds_cap_and_spread():
-    counts = np.full(2000, 50)
-    for workers in (1, 2, 4):
-        bounds = measure._block_bounds(counts, workers)
-        sizes = np.diff(bounds)
-        assert bounds[0] == 0 and bounds[-1] == 2000 and (sizes > 0).all()
-        assert len(sizes) >= workers
-    big = np.array([10, measure._BLOCK_TERMS + 1, 3, 4])
-    bounds = measure._block_bounds(big, 2)
-    held = [int(big[a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
-    assert all(t <= measure._BLOCK_TERMS or b - a == 1
-               for t, a, b in zip(held, bounds[:-1], bounds[1:]))
-    assert measure._block_bounds(np.zeros(5, np.int64), 2) == [0, 5]
+def _spy_blocks(monkeypatch):
+    # records the blocks _per_block hands to the pool
+    blocks = []
+    original = measure.pmap
+
+    def spy(fn, items, workers):
+        blocks.extend(items)
+        return original(fn, items, workers)
+
+    monkeypatch.setattr(measure, "pmap", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("pairs", [1, 700, 3000, 16530])
+def test_blocks_are_consecutive_capped_and_spread(monkeypatch, workers,
+                                                  pairs):
+    mu = MuMeasure(0.5, seed=3)
+    js = np.arange(1, pairs + 1)
+    monkeypatch.setattr(measure, "_thread_workers", lambda: workers)
+    for samples in (2, 5, 6, 9, 64, 100, 500):
+        blocks = _spy_blocks(monkeypatch)
+        got = measure._per_block(0.5, 1024, mu, samples, js,
+                                 lambda b: b.alphas)
+        assert got.tobytes() == mu.first_draws(samples).tobytes()
+        assert (np.concatenate([b.alphas for b in blocks]).tobytes()
+                == got.tobytes())
+        sizes = [b.alphas.size for b in blocks]
+        assert all(n == 1 or n * pairs <= measure._BLOCK_PAIRS
+                   for n in sizes)
+        assert min(sizes) >= 1 and len(blocks) >= min(workers, samples)
+
+
+def test_one_windows_pass_per_block(monkeypatch, f, h):
+    calls = []
+    original = expsums._windows
+
+    def spy(spec, js):
+        calls.append(len(spec.alphas))
+        return original(spec, js)
+
+    monkeypatch.setattr(expsums, "_windows", spy)
+    # and any copy of the name measure itself imports
+    monkeypatch.setattr(measure, "_windows", spy, raising=False)
+    monkeypatch.setattr(measure, "_thread_workers", lambda: 2)
+    mu = MuMeasure(0.5, seed=11)
+    for run in (lambda: second_moment_tilde_e(0.5, 2048, 4096, mu,
+                                              samples=64),
+                lambda: second_moment_roff(0.5, 1024, f, h, 0.05, mu,
+                                           samples=100)):
+        blocks = _spy_blocks(monkeypatch)
+        calls.clear()
+        run()
+        assert len(blocks) > 1
+        assert sorted(calls) == sorted(b.alphas.size for b in blocks)
 
 
 def test_moments_do_not_depend_on_the_blocks(monkeypatch, f, h):
@@ -261,7 +303,7 @@ def test_moments_do_not_depend_on_the_blocks(monkeypatch, f, h):
     ref = (second_moment_tilde_e(0.5, 10**4, 2 * 10**4, mu, samples=64,
                                  split=True),
            second_moment_roff(0.5, 1024, f, h, 0.05, mu, samples=100))
-    monkeypatch.setattr(measure, "_BLOCK_TERMS", 1)
+    monkeypatch.setattr(measure, "_BLOCK_PAIRS", 1)
     monkeypatch.setattr(measure, "_thread_workers", lambda: 1)
     got = (second_moment_tilde_e(0.5, 10**4, 2 * 10**4, mu, samples=64,
                                  split=True),
