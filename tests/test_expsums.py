@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,10 +13,11 @@ from paircorr import expsums
 from paircorr._pool import _CHUNK
 from paircorr._precision import csum
 from paircorr.expsums import (DilateBlock, SequenceSpec, _band,
-                              _direct_abs2, _index_range, _short_components,
-                              _short_terms, _windows, bprocess_constants,
-                              exp_sum_bprocess, exp_sum_direct, exp_sum_pair,
-                              pair_corr_smooth, s_sum, s_tilde_parts)
+                              _direct_abs2, _index_range, _nufft_abs2,
+                              _short_components, _short_terms, _windows,
+                              bprocess_constants, exp_sum_bprocess,
+                              exp_sum_direct, exp_sum_pair, pair_corr_smooth,
+                              s_sum, s_tilde_parts)
 from paircorr.kernels import TestKernel, fourier, integrate, make_bump
 
 from oracles import diagonal_w_term, e, r_off_pairs, stationary_point
@@ -140,6 +142,37 @@ def test_pooled_direct_sums_run_on_several_threads(monkeypatch, h, workers):
     assert len(seen) == 4 and len(set(seen)) >= 2
 
 
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+def test_nufft_abs2_matches_the_direct_sums(h, theta):
+    # every |E_j|^2 against the dense product, from one node (N = 2) up,
+    # j_max = 64 N (check 5's range) and 1000, which is no power of two
+    for N in (2, 3, 17, 348, 512, 1024):
+        spec = SequenceSpec(theta, 1.37, N)
+        H1 = float(np.sum(h(_index_range(spec, h) / N)))
+        for j_max in (1, 2, 7, 1000, 64 * N):
+            got = _nufft_abs2(spec, h, j_max)
+            want = _direct_abs2(spec, h, np.arange(1, j_max + 1))
+            assert got.shape == (j_max,)
+            assert np.abs(got - want).max() <= 1e-13 * H1 ** 2
+
+
+def test_nufft_abs2_against_mpmath_past_1e8_phases(h):
+    # phases alpha * j * y**theta reach 1.1e8; there the direct sums carry
+    # their own long-double error, so the yardstick is 50-digit mpmath
+    spec = SequenceSpec(0.7, 1.37, 2700)
+    ys = _index_range(spec, h)
+    w = h(ys / spec.N)
+    H1 = float(w.sum())
+    got = _nufft_abs2(spec, h, 170_001)
+    with mpmath.workdps(50):
+        a, th = mpmath.mpf(spec.alpha), mpmath.mpf(spec.theta)
+        u = [a * mpmath.power(int(y), th) for y in ys.tolist()]
+        for j in (169_990, 170_000, 170_001):
+            E = mpmath.fsum(wy * mpmath.expjpi(2 * j * uy)
+                            for wy, uy in zip(w.tolist(), u))
+            assert abs(got[j - 1] - float(abs(E) ** 2)) <= 1e-13 * H1 ** 2
+
+
 def test_stationary_point_values_and_defining_equation():
     spec = SequenceSpec(0.5, 1.0, 100)
     assert stationary_point(spec, 10, 1) == pytest.approx(25.0, rel=1e-14)
@@ -227,6 +260,30 @@ def test_s_sum_edges_and_sign(f, h):
     assert s_sum(spec, f, h, 32) >= 0.0
 
 
+def test_s_sum_runs_no_direct_sums(monkeypatch, f, h):
+    def never(*args):
+        raise AssertionError("s_sum must not take the dense product")
+
+    monkeypatch.setattr(expsums, "_direct_abs2", never)
+    assert s_sum(SequenceSpec(0.5, 1.37, 512), f, h, 64 * 512) > 0.0
+    # an h narrower than the index spacing selects no y
+    narrow = make_bump(1.0, 1.001)
+    assert s_sum(SequenceSpec(0.5, 1.5, 2), f, narrow, 8) == 0.0
+
+
+def test_s_sum_identity_at_n_4096(f, h):
+    # check 5's R identity at J = 64 N = 262,144, which the dense product
+    # would take 1.1e9 phases for
+    N = 2 ** 12
+    spec = SequenceSpec(0.5, 1.37, N)
+    hw = h(np.arange(N, 2 * N + 1) / N)
+    H1, H2 = float(hw.sum()), float((hw ** 2).sum())
+    route = (s_sum(spec, f, h, 64 * N)
+             + fourier(f, 0.0).real * H1 ** 2 / N ** 2 - f(0.0) * H2 / N)
+    sweep = pair_corr_smooth(spec, f, h)
+    assert route == pytest.approx(sweep, rel=1e-9)
+
+
 def test_s_sum_manual_reconstruction(f, h):
     spec = SequenceSpec(0.5, 1.23, 64)
     js = np.arange(1, 257)
@@ -246,10 +303,13 @@ def test_pair_corr_smooth_sweep_equals_brute(f, h):
     # alpha = 1, theta = 1/2: the 13 squares in (1024, 2048) all sit at 0,
     # a cluster 12 offsets deep
     specs.append(SequenceSpec(0.5, 1.0, 1024))
+    # draw 69 of default_rng(0).uniform(1, 2): R = 6.0e-19, which a brute
+    # form that subtracts its diagonal after the sum loses to cancellation
+    specs.append(SequenceSpec(0.5, 1.1054952795702295, 7))
     for spec in specs:
         a = pair_corr_smooth(spec, f, h)
         b = pair_corr_smooth(spec, f, h, method="brute")
-        assert a == pytest.approx(b, abs=1e-12)
+        assert a == pytest.approx(b, rel=1e-13, abs=0.0)
     # a wide kernel: about 40 neighbours a point
     wide = make_bump(-20.0, 20.0)
     spec = SequenceSpec(0.7, 1.37, 512)
