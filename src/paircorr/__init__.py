@@ -7,11 +7,12 @@ problems behind the variance bounds (diophantine), and an experiment
 runner (cli).
 """
 
+from ._pool import ResourceGuardError
 from .beurling import (BeurlingConstructionError, BeurlingSelberg,
                        build_beurling_selberg)
-from .diophantine import (DioInstance, ResourceGuardError, ZMultiset,
-                          build_zset, count_duq, count_zdiag, dio_instance,
-                          duq_bound_check, robert_sargos_count)
+from .diophantine import (DioInstance, ZMultiset, build_zset, count_duq,
+                          count_zdiag, dio_instance, duq_bound_check,
+                          robert_sargos_count)
 from .expsums import (BProcessConstants, ExpSumPair, SequenceSpec,
                       TildeDecomposition, bprocess_constants,
                       exp_sum_bprocess, exp_sum_direct, exp_sum_pair,

@@ -1,4 +1,4 @@
-"""The library's one thread pool: independent jobs on a few threads.
+"""The library's shared resources: its one thread pool and its size guard.
 
 Each job hands its arithmetic to numpy, which releases the interpreter lock
 inside its loops, so the threads overlap real work.  A pool lives for one
@@ -8,6 +8,7 @@ call: its threads are joined before pmap returns.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 # elements per pool job of long-double work: 2**15 long doubles are 512 kB.
@@ -37,3 +38,28 @@ def pmap(fn, items, workers: int) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+class ResourceGuardError(Exception):
+    """A computation would exceed its declared size budget."""
+
+
+def _memory_budget() -> int:
+    """Bytes one computation may take: half the machine's physical memory,
+    leaving the rest to numpy's temporaries and to other processes.  No
+    limit where the platform does not report its memory (Windows)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
+def guard(need: int, what: str, budget: int | None = None) -> None:
+    """Raise ResourceGuardError if need, in the unit what names, exceeds
+    budget: by default bytes against _memory_budget(), read at call time.
+    Call it as _pool.guard: a tracer that wraps the names a module imports
+    would otherwise raise from its own span, not the guarded function's."""
+    if budget is None:
+        budget = _memory_budget()
+    if need > budget:
+        raise ResourceGuardError(f"{what}: need {need}, budget {budget}")

@@ -48,6 +48,14 @@ def as_ld(x):
     return np.asarray(x, dtype=LD)
 
 
+def _pow_ld(values, expo: float):
+    """values**expo in long double; exact-path sqrt for expo = 1/2."""
+    b = as_ld(values)
+    if expo == 0.5:
+        return np.sqrt(b)
+    return np.power(b, LD(expo))
+
+
 def frac(x):
     """Fractional part in [0, 1], computed in long double, returned as float64.
 

@@ -23,8 +23,9 @@ import numpy as np
 import scipy
 
 from . import __version__, _precision
+from ._pool import ResourceGuardError
 from .beurling import build_beurling_selberg
-from .diophantine import ResourceGuardError, duq_bound_check
+from .diophantine import duq_bound_check
 from .expsums import SequenceSpec, exp_sum_pair
 from .kernels import default_f, default_h
 from .measure import MuMeasure, second_moment_roff, second_moment_tilde_e

@@ -15,16 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused frac, e_frac kept: perfbench/tracer.py wraps them as boundaries here
-from ._precision import as_ld, e_frac, frac, iceil, ifloor  # noqa: F401
-from .expsums import _pow_ld
-
-
-class ResourceGuardError(Exception):
-    """An enumeration would exceed the declared size budget."""
-
+from . import _pool
+# ResourceGuardError stays importable from here, and unused frac, e_frac
+# stay bound: perfbench/tracer.py wraps them as boundaries here
+from ._pool import ResourceGuardError  # noqa: F401
+from ._precision import (_pow_ld, as_ld, e_frac, frac,  # noqa: F401
+                         iceil, ifloor)
 
 _ENUM_BUDGET = 10**9
+
+# peak bytes a pair holds in build_zset: m, n and z per gap, their
+# concatenations, the sort order and the sorted copies (80.2 to 81.5 under
+# tracemalloc, the window's powers included)
+_BYTES_PER_Z = 84
+
+# peak bytes a product holds through count_duq: the products, their sorted
+# copy, a shifted copy and the two search bounds (40.0 under tracemalloc)
+_BYTES_PER_PRODUCT = 40
 
 
 @dataclass(frozen=True)
@@ -125,20 +132,16 @@ def build_zset(inst: DioInstance) -> ZMultiset:
     """
     width = inst.m_hi - inst.m_lo
     gaps = range(inst.gap_lo, min(inst.gap_hi, width + 1))
-    total = sum(max(0, width + 1 - d) for d in gaps)
-    if total > _ENUM_BUDGET:
-        raise ResourceGuardError(
-            f"z enumeration of {total} pairs exceeds the budget {_ENUM_BUDGET}")
+    total = sum(width + 1 - d for d in gaps)
+    _pool.guard(total, "z enumeration pairs", _ENUM_BUDGET)
+    _pool.guard(total * _BYTES_PER_Z, f"bytes for {total} z pairs")
     if total == 0:
         empty = np.array([], dtype=np.int64)
         return ZMultiset(z=np.array([], dtype=np.float64), m=empty, n=empty)
     btab = _pow_ld(np.arange(inst.m_lo, inst.m_hi + 1), 1.0 - inst.Theta)
-    ms, ns = [], []
-    zs = []
+    ms, ns, zs = [], [], []
     for d in gaps:
         k = width + 1 - d
-        if k <= 0:
-            continue
         m = np.arange(inst.m_lo, inst.m_lo + k, dtype=np.int64)
         ms.append(m)
         ns.append(m + d)
@@ -155,10 +158,8 @@ def _products(inst: DioInstance, zset: ZMultiset | None = None) -> np.ndarray:
         zset = build_zset(inst)
     js = inst.js
     est = js.size * zset.size
-    if est > _ENUM_BUDGET:
-        raise ResourceGuardError(
-            f"product enumeration of {est} values exceeds the budget "
-            f"{_ENUM_BUDGET}")
+    _pool.guard(est, "product enumeration values", _ENUM_BUDGET)
+    _pool.guard(est * _BYTES_PER_PRODUCT, f"bytes for {est} products")
     if est == 0:
         return np.array([], dtype=np.float64)
     jpow = _pow_ld(js, inst.Theta)
@@ -212,8 +213,7 @@ def robert_sargos_count(M: int, one_minus_Theta: float, gamma: float) -> int:
         raise ValueError("exponent must avoid 0 and 1")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if float(M) ** 4 > _ENUM_BUDGET:
-        raise ResourceGuardError(f"M^4 = {M**4} exceeds the budget {_ENUM_BUDGET}")
+    _pool.guard(int(M) ** 4, "quadruples M^4", _ENUM_BUDGET)
     vals = _pow_ld(np.arange(1, M + 1), one_minus_Theta).astype(np.float64)
     diffs = (vals[:, None] - vals[None, :]).ravel()
     thr = gamma * float(M) ** one_minus_Theta
@@ -233,10 +233,7 @@ def duq_bound_check(theta: float, N: int, eps: float) -> list[dict]:
     """
     if N < 4:
         raise ValueError("N must be at least 4")
-    if N > 512:
-        raise ResourceGuardError(
-            f"brute-force grid at N={N} would enumerate ~{N ** 2} pair "
-            "products per cell; the check is calibrated for N <= 512")
+    _pool.guard(N, "N of the brute-force grid (~N**2 products a cell)", 512)
     logN = math.log(N)
     TH = 1.0 / (1.0 - theta)
     u_lo = int(math.floor((1.0 - eps) * logN)) + 1

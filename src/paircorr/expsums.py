@@ -24,8 +24,9 @@ import numpy as np
 from scipy.fft import rfft
 
 from ._pool import _CHUNK, _thread_workers, pmap
-from ._precision import LD, as_ld, csum, e_frac, frac, iceil, ifloor
+from ._precision import LD, _pow_ld, as_ld, csum, e_frac, frac, iceil, ifloor
 from .kernels import FourierTable, TestKernel, periodize
+from .stats import _powers, fractional_parts
 
 
 @dataclass(frozen=True)
@@ -96,14 +97,6 @@ def bprocess_constants(theta: float) -> BProcessConstants:
     return BProcessConstants(c1=c1, c2=c2)
 
 
-def _pow_ld(values, expo: float):
-    """values**expo in long double; exact-path sqrt for expo = 1/2."""
-    b = as_ld(values)
-    if expo == 0.5:
-        return np.sqrt(b)
-    return np.power(b, LD(expo))
-
-
 def _index_range(spec: SequenceSpec, h: TestKernel) -> np.ndarray:
     """Integers y >= 1 with N*support_lo < y < N*support_hi."""
     lo = int(math.floor(spec.N * h.support_lo)) + 1
@@ -116,7 +109,7 @@ def exp_sum_direct(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
     ys = _index_range(spec, h)
     if ys.size == 0:
         return 0j
-    w = _pow_ld(ys, spec.theta)
+    w = _powers(spec.theta, ys[0], ys[-1], False)
     ph = frac(as_ld(spec.alpha) * j * w)
     return csum(h(ys / spec.N) * e_frac(ph))
 
@@ -135,7 +128,7 @@ def _direct_abs2(spec: SequenceSpec, h: TestKernel, js: np.ndarray) -> np.ndarra
     out = np.zeros(len(js), dtype=np.float64)
     if ys.size == 0:
         return out
-    w = _pow_ld(ys, spec.theta)
+    w = _powers(spec.theta, ys[0], ys[-1], False)
     hw = h(ys / spec.N)
     chunk = max(1, _CHUNK // ys.size)
     a_ld = as_ld(spec.alpha)
@@ -181,9 +174,12 @@ def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
     8M < 64 (j_max + 1) bytes.
     """
     ys = _index_range(spec, h)
+    if ys.size == 0:
+        return np.zeros(j_max)
     w = h(ys / spec.N)
-    x = as_ld(spec.alpha) * _pow_ld(ys, spec.theta)
-    r = x - np.floor(x)
+    x = as_ld(spec.alpha) * _powers(spec.theta, ys[0], ys[-1], False)
+    # 0 < x < 2**63, so truncation is floor and the remainder is exact
+    r = x - x.astype(np.int64)
     hi = r.astype(np.float64)
     lo = (r - hi).astype(np.float64)
     M = max(64, 1 << (_OVERSAMPLE * (2 * j_max + 2) - 1).bit_length())
@@ -432,8 +428,7 @@ def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     if ys.size < 2:
         return 0.0
     N = spec.N
-    w = _pow_ld(ys, spec.theta)
-    v = frac(as_ld(spec.alpha) * w)
+    v = fractional_parts(spec.theta, spec.alpha, ys[0], ys[-1]).points
     hw = h(ys / N)
     r = max(abs(f.support_lo), abs(f.support_hi)) / N
     if method == "brute" or r >= 0.49:

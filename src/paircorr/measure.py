@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._pool import _thread_workers, pmap
+from ._precision import _pow_ld
 from .expsums import (DilateBlock, SequenceSpec, _short_components,
-                      _tilde_from_values, bprocess_constants, _band,
-                      _pow_ld)
+                      _tilde_from_values, bprocess_constants, _band)
 from .kernels import (FourierTable, TestKernel, _gl_grid, default_h,
                       default_rho, integrate)
 

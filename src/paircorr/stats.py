@@ -7,17 +7,14 @@ that a Poissonian sequence gives pair counts ~2s and gap density ~exp(-s).
 from __future__ import annotations
 
 import math
-import os
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import _pool
 from ._pool import _CHUNK, _thread_workers, pmap
-from ._precision import LD, as_ld, frac
-from .diophantine import ResourceGuardError
-from .expsums import _pow_ld
+from ._precision import LD, _pow_ld, as_ld, frac
 
 # bytes a point holds at once: int64 index, long-double power, float64 point
 # and the float64 sorted copy
@@ -74,16 +71,6 @@ class PointSet:
         return f"n in [{self.n_lo}, {self.n_hi}]{tag}"
 
 
-def _memory_budget() -> int:
-    """Bytes a point set may take: half the machine's physical memory,
-    leaving the rest to numpy's temporaries and to other processes.  No
-    limit where the platform does not report its memory (Windows)."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-    except (AttributeError, ValueError, OSError):
-        return sys.maxsize
-
-
 def _powers(theta: float, n_lo: int, n_hi: int,
             exclude_squares: bool) -> np.ndarray:
     """n**theta in long double over the window, as a read-only array.
@@ -99,12 +86,8 @@ def _powers(theta: float, n_lo: int, n_hi: int,
     if entry is not None and entry[0] == key:
         return entry[1]
     del entry
-    need = (n_hi - n_lo + 1) * _BYTES_PER_POINT
-    budget = _memory_budget()
-    if need > budget:
-        raise ResourceGuardError(
-            f"{n_hi - n_lo + 1} points need {need} bytes, more than the "
-            f"budget of {budget} bytes")
+    _pool.guard((n_hi - n_lo + 1) * _BYTES_PER_POINT,
+                f"bytes for {n_hi - n_lo + 1} points")
     _table = None
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     if exclude_squares:

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paircorr._precision import LD, as_ld, csum, frac
+from paircorr._precision import LD, _pow_ld, as_ld, csum, frac
 from paircorr.beurling import BeurlingSelberg
 from paircorr.diophantine import DioInstance, ZMultiset, _products, build_zset
-from paircorr.expsums import (SequenceSpec, _band, _pow_ld, _windows,
-                              bprocess_constants)
+from paircorr.expsums import SequenceSpec, _band, _windows, bprocess_constants
 from paircorr.kernels import FourierTable, default_h, integrate
 from paircorr.measure import (MuMeasure, _check_theta, _osc_panels,
                               _stationary_scale)

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paircorr
-from paircorr import _precision, cli, stats
+from paircorr import _pool, _precision, cli, stats
 from paircorr.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                           _load_config, main, subsequence)
-from paircorr.expsums import _pow_ld
+from paircorr._precision import _pow_ld
 
 
 def test_subsequence_values():
@@ -108,6 +108,14 @@ def test_resource_guard_exits_3(tmp_path):
     assert main(["dio", "--N", "600", "--out", str(tmp_path)]) == 3
 
 
+def test_dio_past_the_memory_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # the default grid, against a fixed budget of 1 MB
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: 10 ** 6)
+    assert main(["dio", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard:") and "budget 1000000" in err
+
+
 @pytest.mark.parametrize("experiment", ["gaps", "paircorr"])
 def test_point_set_past_the_memory_budget_exits_3(tmp_path, monkeypatch,
                                                   capsys, experiment):
@@ -121,14 +129,14 @@ def test_point_set_past_the_memory_budget_exits_3(tmp_path, monkeypatch,
     # 1000 points: [1, N] for gaps, (N, 2N] for paircorr; one byte short
     # of their index, table, points and sorted copy
     need = 1000 * stats._BYTES_PER_POINT
-    monkeypatch.setattr(stats, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
     argv = [experiment, "--N", "1000", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert calls == [] and stats._table is None
     err = capsys.readouterr().err
     assert err.startswith("resource guard:") and str(need) in err
     # at exactly its need the set is built
-    monkeypatch.setattr(stats, "_memory_budget", lambda: need)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
     assert main(argv) in (0, 1)
     assert sum(calls) == 1000 and stats._table[1].size == 1000
 

@@ -1,11 +1,13 @@
 """Counting stack: z-multisets, brute-force counts, twisted moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from paircorr._precision import as_ld
+from paircorr import _pool, diophantine
+from paircorr._precision import _pow_ld, as_ld
 from paircorr.diophantine import (DioInstance, ResourceGuardError, build_zset,
                                   count_duq, count_zdiag, dio_instance,
                                   duq_bound_check, robert_sargos_count)
@@ -235,3 +237,55 @@ def test_duq_bound_check_grid():
 def test_duq_bound_check_resource_guard():
     with pytest.raises(ResourceGuardError):
         duq_bound_check(0.5, 600, 0.1)
+
+
+# a small cell: 74,750 z pairs and 38 j, 2,840,500 products
+CELL = DioInstance(theta=0.5, j_lo=2, j_hi=40, m_lo=1, m_hi=400, gap_lo=1,
+                   gap_hi=300, threshold=3.0)
+
+
+def _peak(fn):
+    """(fn(), bytes allocated at the peak of the call above its start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumeration_byte_counts_cover_the_measured_peaks():
+    zset, peak = _peak(lambda: build_zset(CELL))
+    # 64 kB for the few Python objects a call holds outside its arrays
+    assert peak <= zset.size * diophantine._BYTES_PER_Z + 2 ** 16
+    est = CELL.js.size * zset.size
+    _, peak = _peak(lambda: count_duq(CELL, zset))
+    assert peak <= est * diophantine._BYTES_PER_PRODUCT + 2 ** 16
+
+
+def test_enumerations_past_the_memory_budget_are_refused_unbuilt(
+        monkeypatch):
+    zset = build_zset(CELL)
+    count = count_duq(CELL, zset)
+    z_need = zset.size * diophantine._BYTES_PER_Z
+    p_need = CELL.js.size * zset.size * diophantine._BYTES_PER_PRODUCT
+    calls = []
+
+    def spy(values, expo):
+        calls.append(np.size(values))
+        return _pow_ld(values, expo)
+
+    monkeypatch.setattr(diophantine, "_pow_ld", spy)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: p_need - 1)
+    with pytest.raises(ResourceGuardError, match=f"need {p_need}, "):
+        count_duq(CELL, zset)
+    assert calls == []
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: z_need - 1)
+    with pytest.raises(ResourceGuardError, match=f"need {z_need}, "):
+        build_zset(CELL)
+    assert calls == []
+    # at exactly their need both are built
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: max(z_need, p_need))
+    assert count_duq(CELL) == count
+    assert sorted(calls) == [CELL.js.size, CELL.m_hi - CELL.m_lo + 1]

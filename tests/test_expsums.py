@@ -9,9 +9,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from paircorr import expsums
+from paircorr import expsums, stats
 from paircorr._pool import _CHUNK
-from paircorr._precision import csum
+from paircorr._precision import _pow_ld, as_ld, csum, e_frac, frac
 from paircorr.expsums import (DilateBlock, SequenceSpec, _band,
                               _direct_abs2, _index_range, _nufft_abs2,
                               _short_components, _short_terms, _windows,
@@ -19,6 +19,8 @@ from paircorr.expsums import (DilateBlock, SequenceSpec, _band,
                               exp_sum_direct, exp_sum_pair, pair_corr_smooth,
                               s_sum, s_tilde_parts)
 from paircorr.kernels import TestKernel, fourier, integrate, make_bump
+from paircorr.measure import MuMeasure
+from paircorr.stats import fractional_parts
 
 from oracles import diagonal_w_term, e, r_off_pairs, stationary_point
 
@@ -266,9 +268,15 @@ def test_s_sum_runs_no_direct_sums(monkeypatch, f, h):
 
     monkeypatch.setattr(expsums, "_direct_abs2", never)
     assert s_sum(SequenceSpec(0.5, 1.37, 512), f, h, 64 * 512) > 0.0
-    # an h narrower than the index spacing selects no y
+    # an h narrower than the index spacing selects no y, and every site
+    # that reads the power table returns its empty value
     narrow = make_bump(1.0, 1.001)
-    assert s_sum(SequenceSpec(0.5, 1.5, 2), f, narrow, 8) == 0.0
+    spec = SequenceSpec(0.5, 1.5, 2)
+    assert s_sum(spec, f, narrow, 8) == 0.0
+    assert _nufft_abs2(spec, narrow, 8).tolist() == [0.0] * 8
+    assert _direct_abs2(spec, narrow, np.arange(1, 9)).tolist() == [0.0] * 8
+    assert exp_sum_direct(spec, narrow, 3) == 0j
+    assert pair_corr_smooth(spec, f, narrow) == 0.0
 
 
 def test_s_sum_identity_at_n_4096(f, h):
@@ -322,9 +330,58 @@ def test_pair_corr_smooth_rejects_an_unknown_method(monkeypatch, f, h):
     def never(*args):
         raise AssertionError("the powers must not be built")
 
-    monkeypatch.setattr(expsums, "_pow_ld", never)
+    monkeypatch.setattr(stats, "_pow_ld", never)
     with pytest.raises(ValueError, match="method"):
         pair_corr_smooth(SequenceSpec(0.5, 1.5, 512), f, h, method="pairs")
+
+
+def test_sites_read_the_inline_reduction_to_the_bit(h):
+    # check 3's dilates at N = 2**14, check 5's at N = 512 and 4096, and
+    # check 10's window [1, 10**6] at alpha = 1, against the inline
+    # frac(as_ld(alpha) * _pow_ld(ys, theta)) each site used to compute
+    cases = [(0.5, float(al), SequenceSpec(0.5, float(al), 2 ** 14))
+             for al in MuMeasure(0.5, seed=0).sample_alphas(5, substream=2)]
+    cases += [(0.5, 1.37, SequenceSpec(0.5, 1.37, N)) for N in (512, 4096)]
+    cases.append((0.5, 1.0, None))
+    for theta, alpha, spec in cases:
+        ys = (np.arange(1, 10 ** 6 + 1) if spec is None
+              else _index_range(spec, h))
+        inline = frac(as_ld(alpha) * _pow_ld(ys, theta))
+        ps = fractional_parts(theta, alpha, ys[0], ys[-1])
+        assert ps.points.tobytes() == inline.tobytes()
+        # _nufft_abs2's remainder, by truncation in place of floor
+        x = as_ld(alpha) * stats._powers(theta, ys[0], ys[-1], False)
+        r = x - x.astype(np.int64)
+        assert np.array_equal(r, x - np.floor(x))
+        assert r.astype(np.float64).tobytes() == inline.tobytes()
+        if spec is not None:
+            for j in (1, 7 * spec.N):
+                ph = frac(as_ld(alpha) * j * _pow_ld(ys, theta))
+                assert exp_sum_direct(spec, h, j) == csum(
+                    h(ys / spec.N) * e_frac(ph))
+
+
+def test_one_power_table_per_theta_and_n(monkeypatch, f, h):
+    powers = []
+
+    def spy(where):
+        def pow_ld(values, expo):
+            powers.append((where, expo, int(np.size(values))))
+            return _pow_ld(values, expo)
+        return pow_ld
+
+    monkeypatch.setattr(stats, "_pow_ld", spy("stats"))
+    monkeypatch.setattr(expsums, "_pow_ld", spy("expsums"))
+    expected = []
+    for theta, N in ((0.3, 512), (0.7, 1000)):
+        for j in range(1, 11):
+            exp_sum_pair(SequenceSpec(theta, 1.37, N), h, j * N)
+        for al in np.linspace(1.0, 2.0, 5):
+            pair_corr_smooth(SequenceSpec(theta, float(al), N), f, h)
+        ys = _index_range(SequenceSpec(theta, 1.0, N), h)
+        expected.append(("stats", theta, ys.size))
+    # the short form's m**(1 - Theta) are the only other powers taken
+    assert [p for p in powers if p[1] in (0.3, 0.7)] == expected
 
 
 def test_pair_corr_smooth_zero_kernels(h):

@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pair_corr_count_concat
-from paircorr import stats
-from paircorr._precision import as_ld, frac
-from paircorr.expsums import _pow_ld
+from paircorr import _pool, stats
+from paircorr._precision import _pow_ld, as_ld, frac
 from paircorr.stats import (PointSet, fractional_parts, gap_distribution,
                             pair_corr_count, uniform_points)
 
@@ -150,9 +149,9 @@ def test_pooled_powers_run_on_several_threads(monkeypatch, workers):
 
 
 def test_memory_budget_without_sysconf_is_unlimited(monkeypatch):
-    assert 0 < stats._memory_budget() < sys.maxsize
+    assert 0 < _pool._memory_budget() < sys.maxsize
     monkeypatch.delattr(os, "sysconf")
-    assert stats._memory_budget() == sys.maxsize
+    assert _pool._memory_budget() == sys.maxsize
 
 
 def test_point_sets_compare_and_hash_by_identity():
