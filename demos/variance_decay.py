@@ -28,7 +28,7 @@ def main():
     print(f"single-sum second moment at N = {N} (2000 alpha draws)")
     print("  j        value/N      stderr/N")
     for j in (N, 2 * N, 4 * N):
-        est = second_moment_tilde_e(0.5, N, j, mu, samples=2000)
+        est = second_moment_tilde_e(N, j, mu, samples=2000)
         print(f"  {j:<7d}  {est.value / N:9.4f}    {est.stderr / N:.1e}")
 
     print("\noff-diagonal variance (128 alpha draws per N)")
@@ -36,7 +36,7 @@ def main():
     Ns = (2**10, 2**12, 2**14)
     vals = []
     for n in Ns:
-        est = second_moment_roff(0.5, n, f, h, 0.05, mu, samples=128)
+        est = second_moment_roff(n, f, h, 0.05, mu, samples=128)
         vals.append(est.value)
         print(f"  {n:<7d}  {est.value:.3e}    {est.stderr:.1e}")
     slope = float(np.polyfit(np.log(Ns), np.log(vals), 1)[0])

@@ -38,7 +38,6 @@ import math
 import numpy as np
 
 LD = np.longdouble
-EPS_LD = float(np.finfo(LD).eps)
 LD_NMANT = int(np.finfo(LD).nmant)
 TWO_PI = 2.0 * math.pi
 _TWO_63 = 2.0 ** 63

@@ -29,9 +29,9 @@ _ENUM_BUDGET = 10**9
 # tracemalloc, the window's powers included)
 _BYTES_PER_Z = 84
 
-# peak bytes a product holds through count_duq: the products, their sorted
-# copy, a shifted copy and the two search bounds (40.0 under tracemalloc)
-_BYTES_PER_PRODUCT = 40
+# peak bytes a product holds through count_duq: the products, sorted in
+# place, a shifted copy and the two search bounds (32.0 under tracemalloc)
+_BYTES_PER_PRODUCT = 32
 
 
 @dataclass(frozen=True)
@@ -183,10 +183,12 @@ def count_duq(inst: DioInstance, zset: ZMultiset | None = None) -> int:
     v = _products(inst, zset)
     if v.size == 0:
         return 0
-    vs = np.sort(v)
-    hi = np.searchsorted(vs, vs + inst.threshold, side="right")
-    lo = np.searchsorted(vs, vs - inst.threshold, side="left")
-    return int((hi - lo).sum())
+    v.sort()
+    bound = v + inst.threshold
+    hi = np.searchsorted(v, bound, side="right")
+    np.subtract(v, inst.threshold, out=bound)
+    hi -= np.searchsorted(v, bound, side="left")
+    return int(hi.sum())
 
 
 def count_zdiag(zset: ZMultiset, tau: float) -> int:

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import rfft
 
+from . import _pool
 from ._pool import _CHUNK, _thread_workers, pmap
 from ._precision import LD, _pow_ld, as_ld, csum, e_frac, frac, iceil, ifloor
-from .kernels import FourierTable, TestKernel, periodize
+from .kernels import TestKernel, fourier, periodize
 from .stats import _powers, fractional_parts
 
 
@@ -104,14 +105,19 @@ def _index_range(spec: SequenceSpec, h: TestKernel) -> np.ndarray:
     return np.arange(max(lo, 1), hi + 1, dtype=np.int64)
 
 
-def exp_sum_direct(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
-    """E_j by direct summation over the support of h(./N)."""
+def _h_window(spec: SequenceSpec, h: TestKernel):
+    """h(y/N) and the shared long-double y**theta over _index_range(spec, h);
+    both empty when the support of h(./N) holds no integer."""
     ys = _index_range(spec, h)
     if ys.size == 0:
-        return 0j
-    w = _powers(spec.theta, ys[0], ys[-1], False)
-    ph = frac(as_ld(spec.alpha) * j * w)
-    return csum(h(ys / spec.N) * e_frac(ph))
+        return np.zeros(0), np.zeros(0, dtype=LD)
+    return h(ys / spec.N), _powers(spec.theta, ys[0], ys[-1], False)
+
+
+def exp_sum_direct(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
+    """E_j by direct summation over the support of h(./N)."""
+    hw, w = _h_window(spec, h)
+    return csum(hw * e_frac(frac(as_ld(spec.alpha) * j * w)))
 
 
 def _direct_abs2(spec: SequenceSpec, h: TestKernel, js: np.ndarray) -> np.ndarray:
@@ -124,13 +130,11 @@ def _direct_abs2(spec: SequenceSpec, h: TestKernel, js: np.ndarray) -> np.ndarra
     chunk nor the thread.  No BLAS: a threaded zgemv inside the pool's
     jobs wakes OpenBLAS's own workers, which take the pool's cores.
     """
-    ys = _index_range(spec, h)
+    hw, w = _h_window(spec, h)
     out = np.zeros(len(js), dtype=np.float64)
-    if ys.size == 0:
+    if w.size == 0:
         return out
-    w = _powers(spec.theta, ys[0], ys[-1], False)
-    hw = h(ys / spec.N)
-    chunk = max(1, _CHUNK // ys.size)
+    chunk = max(1, _CHUNK // w.size)
     a_ld = as_ld(spec.alpha)
 
     def job(i):
@@ -173,11 +177,10 @@ def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
     float64 and its transform M/2 + 1 complex128, so each takes about
     8M < 64 (j_max + 1) bytes.
     """
-    ys = _index_range(spec, h)
-    if ys.size == 0:
+    w, powers = _h_window(spec, h)
+    if w.size == 0:
         return np.zeros(j_max)
-    w = h(ys / spec.N)
-    x = as_ld(spec.alpha) * _powers(spec.theta, ys[0], ys[-1], False)
+    x = as_ld(spec.alpha) * powers
     # 0 < x < 2**63, so truncation is floor and the remainder is exact
     r = x - x.astype(np.int64)
     hi = r.astype(np.float64)
@@ -355,17 +358,15 @@ def s_sum(spec: SequenceSpec, f: TestKernel, h: TestKernel,
         raise ValueError("j_max must be nonnegative")
     if j_max == 0:
         return 0.0
-    js = np.arange(1, j_max + 1, dtype=np.int64)
-    table = FourierTable(f, max_abs_freq=j_max / spec.N)
-    fv = table.values(js / spec.N).real
+    fv = fourier(f, np.arange(1, j_max + 1) / spec.N).real
     e2 = _nufft_abs2(spec, h, j_max)
     return float(2.0 / spec.N ** 2 * np.dot(fv, e2))
 
 
-def _band(spec: SequenceSpec, eps: float) -> np.ndarray:
+def _band(N: int, eps: float) -> np.ndarray:
     """Integers j in [N^(1-eps), N^(1+eps)]."""
-    lo = iceil(spec.N ** (1.0 - eps))
-    hi = ifloor(spec.N ** (1.0 + eps))
+    lo = iceil(N ** (1.0 - eps))
+    hi = ifloor(N ** (1.0 + eps))
     return np.arange(max(lo, 1), hi + 1, dtype=np.int64)
 
 
@@ -402,12 +403,15 @@ def _tilde_from_values(spec, h: TestKernel, js: np.ndarray,
 def s_tilde_parts(spec: SequenceSpec, f: TestKernel, h: TestKernel,
                   eps: float = 0.05) -> TildeDecomposition:
     """Assemble S~ over the band j in [N^(1-eps), N^(1+eps)] spectrally."""
-    js = _band(spec, eps)
+    js = _band(spec.N, eps)
     if js.size == 0:
         return TildeDecomposition(0.0, 0.0, 0.0, 0, -1)
-    table = FourierTable(f, max_abs_freq=js[-1] / spec.N)
-    fv = table.values(js / spec.N).real
-    return _tilde_from_values(spec, h, js, fv)[0]
+    return _tilde_from_values(spec, h, js, fourier(f, js / spec.N).real)[0]
+
+
+# peak bytes a pair of points holds in pair_corr_smooth's quadratic form
+# (tracemalloc: 41.1 if supp f(N .) is 2/N wide, 67.0 if it covers 1)
+_BYTES_PER_PAIR = 68
 
 
 def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
@@ -432,6 +436,7 @@ def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     hw = h(ys / N)
     r = max(abs(f.support_lo), abs(f.support_hi)) / N
     if method == "brute" or r >= 0.49:
+        _pool.guard(v.size ** 2 * _BYTES_PER_PAIR, "bytes for the pair table")
         d = v[:, None] - v[None, :]
         F = periodize(f, N, d.ravel()).reshape(d.shape)
         # x != y: zeroed before the sum, as subtracting the diagonal after

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pool
 from ._pool import _thread_workers, pmap
 from ._precision import _pow_ld
-from .expsums import (DilateBlock, SequenceSpec, _short_components,
-                      _tilde_from_values, bprocess_constants, _band)
-from .kernels import (FourierTable, TestKernel, _gl_grid, default_h,
-                      default_rho, integrate)
+from .expsums import (DilateBlock, _band, _short_components,
+                      _tilde_from_values, bprocess_constants)
+from .kernels import (TestKernel, _gl_grid, default_h, default_rho, fourier,
+                      integrate)
 
 
 class MeasureError(Exception):
@@ -33,6 +34,9 @@ _FIRST_ROUND = 64
 # so no block sets the peak memory; blocks of 2**15 pairs raised the
 # mc-variance peak from 128 to 131 MB (2-vCPU x86).
 _BLOCK_PAIRS = 1 << 13
+# peak bytes a panel of 16 quadrature nodes holds in osc_integral_single: 64
+# a node for the grid, the amplitude and the phases (64.0 under tracemalloc)
+_BYTES_PER_PANEL = 16 * 64
 
 
 @dataclass
@@ -71,13 +75,11 @@ class MuMeasure:
             out = np.where(beta > 0.0, self.rho(beta) / np.where(beta > 0, beta, 1.0), 0.0)
         return float(out) if np.ndim(beta) == 0 else out
 
-    def sample_alphas(self, n: int, substream: int | None = None) -> np.ndarray:
-        """n independent draws; substream k derives a Philox stream jumped k
-        times from the seed, so (seed, substream) pins the values exactly."""
-        bitgen = np.random.Philox(key=self.seed)
-        if substream is not None:
-            bitgen = bitgen.jumped(substream + 1)
-        gen = np.random.Generator(bitgen)
+    def sample_alphas(self, n: int, substream: int) -> np.ndarray:
+        """n independent draws; substream k is the seed's Philox stream jumped
+        k + 1 times, so (seed, substream) pins the values exactly."""
+        gen = np.random.Generator(
+            np.random.Philox(key=self.seed).jumped(substream + 1))
         # rejection in beta under the flat envelope, mapped back by beta^(1/Theta)
         lo, hi = self.rho.support_lo, self.rho.support_hi
         out = np.empty(n, dtype=np.float64)
@@ -125,11 +127,6 @@ class MuMeasure:
         return 1.0 / (width * self._pdf_max)
 
 
-def _check_theta(theta: float, mu: MuMeasure) -> None:
-    if abs(theta - mu.theta) > 1e-12:
-        raise ValueError("theta disagrees with the measure's theta")
-
-
 def _stationary_scale(theta: float, N: int, j: int, m) -> np.ndarray:
     """x~ = (theta j / m)^Theta / N, so the window weight reads h(beta x~)."""
     Theta = 1.0 / (1.0 - theta)
@@ -138,11 +135,12 @@ def _stationary_scale(theta: float, N: int, j: int, m) -> np.ndarray:
 
 def _osc_panels(lo: float, hi: float, freq: float, node_factor: int = 8):
     panels = max(16, int(np.ceil(node_factor * abs(freq) * (hi - lo))))
+    _pool.guard(panels * _BYTES_PER_PANEL, f"bytes for {panels} panels")
     return _gl_grid(lo, hi, panels)
 
 
-def osc_integral_single(theta: float, N: int, j: int, m: int, n: int,
-                        mu: MuMeasure, h: TestKernel | None = None,
+def osc_integral_single(N: int, j: int, m: int, n: int, mu: MuMeasure,
+                        h: TestKernel | None = None,
                         node_factor: int = 8) -> complex:
     """One off-diagonal pair term averaged over the dilate.
 
@@ -153,18 +151,21 @@ def osc_integral_single(theta: float, N: int, j: int, m: int, n: int,
     since the alpha^Theta weight cancels the 1/beta of the measure.  For
     m = n the phase drops out and I is real and nonnegative; for m != n the
     frequency is large for every admissible window and I decays faster than
-    any power of N.
+    any power of N.  When no beta in supp rho has both windows open the
+    integrand vanishes identically and I = 0 is returned with no grid.
     """
-    _check_theta(theta, mu)
     if h is None:
         h = default_h()
-    Theta = mu.Theta
+    theta, Theta = mu.theta, mu.Theta
+    xm = float(_stationary_scale(theta, N, j, m))
+    xn = float(_stationary_scale(theta, N, j, n))
+    if (max(mu.rho.support_lo, h.support_lo / xm, h.support_lo / xn)
+            >= min(mu.rho.support_hi, h.support_hi / xm, h.support_hi / xn)):
+        return 0j
     c2 = bprocess_constants(theta).c2
     z = float(_pow_ld(np.array([m]), 1.0 - Theta)[0]
               - _pow_ld(np.array([n]), 1.0 - Theta)[0])
     freq = c2 * float(j) ** Theta * z
-    xm = _stationary_scale(theta, N, j, m)
-    xn = _stationary_scale(theta, N, j, n)
     nodes, wts = _osc_panels(mu.rho.support_lo, mu.rho.support_hi, freq,
                              node_factor)
     amp = mu.rho(nodes) * h(nodes * xm) * h(nodes * xn)
@@ -188,8 +189,8 @@ def _estimate(vals: np.ndarray, samples: int, seed: int) -> MomentEstimate:
                           samples=samples, seed=seed)
 
 
-def _per_block(theta: float, N: int, mu: MuMeasure, samples: int,
-               js: np.ndarray, fn) -> np.ndarray:
+def _per_block(N: int, mu: MuMeasure, samples: int, js: np.ndarray,
+               fn) -> np.ndarray:
     """fn(DilateBlock) over blocks of consecutive samples, its rows joined
     in sample order; sample i's dilate is the first draw of substream i.
 
@@ -202,20 +203,18 @@ def _per_block(theta: float, N: int, mu: MuMeasure, samples: int,
     per_block = max(1, _BLOCK_PAIRS // len(js))
     count = max(min(workers, samples), -(-samples // per_block))
     cuts = [i * samples // count for i in range(count + 1)]
-    blocks = [DilateBlock(theta, alphas[a:b], N)
+    blocks = [DilateBlock(mu.theta, alphas[a:b], N)
               for a, b in zip(cuts[:-1], cuts[1:])]
     return np.concatenate(pmap(fn, blocks, workers))
 
 
-def second_moment_tilde_e(theta: float, N: int, j: int, mu: MuMeasure,
-                          samples: int = 256, h: TestKernel | None = None,
-                          split: bool = False):
+def second_moment_tilde_e(N: int, j: int, mu: MuMeasure, samples: int = 256,
+                          h: TestKernel | None = None, split: bool = False):
     """Monte Carlo for int |E~_{N,j}(alpha)|^2 dmu(alpha).
 
     With split=True also returns the diagonal (n = m) part of the same
     average, computed from the identical sample path.
     """
-    _check_theta(theta, mu)
     if samples < 2:
         raise ValueError("second moments need at least 2 samples")
     if h is None:
@@ -226,29 +225,26 @@ def second_moment_tilde_e(theta: float, N: int, j: int, mu: MuMeasure,
         abs2, diag, _ = _short_components(b, h, js)
         return np.stack([abs2, diag], axis=1)
 
-    rows = _per_block(theta, N, mu, samples, js, block)
+    rows = _per_block(N, mu, samples, js, block)
     total = _estimate(rows[:, 0], samples, mu.seed)
     if split:
         return total, _estimate(rows[:, 1], samples, mu.seed)
     return total
 
 
-def second_moment_roff(theta: float, N: int, f: TestKernel, h: TestKernel,
-                       eps: float, mu: MuMeasure,
-                       samples: int = 128) -> MomentEstimate:
+def second_moment_roff(N: int, f: TestKernel, h: TestKernel, eps: float,
+                       mu: MuMeasure, samples: int = 128) -> MomentEstimate:
     """Monte Carlo for int |R_off(alpha)|^2 dmu(alpha) over the j-band."""
-    _check_theta(theta, mu)
     if samples < 100:
         raise ValueError("variance runs need at least 100 samples")
-    probe = SequenceSpec(theta, 1.0, N)
-    js = _band(probe, eps)
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    js = _band(N, eps)
     if js.size == 0:
         return MomentEstimate(0.0, 0.0, samples, mu.seed)
-    table = FourierTable(f, max_abs_freq=js[-1] / N)
-    fv = table.values(js / N).real
+    fv = fourier(f, js / N).real
 
     def block(b: DilateBlock):
         return [t.off_diagonal ** 2 for t in _tilde_from_values(b, h, js, fv)]
 
-    return _estimate(_per_block(theta, N, mu, samples, js, block), samples,
-                     mu.seed)
+    return _estimate(_per_block(N, mu, samples, js, block), samples, mu.seed)

@@ -31,8 +31,7 @@ from paircorr.beurling import BeurlingSelberg
 from paircorr.diophantine import DioInstance, ZMultiset, _products, build_zset
 from paircorr.expsums import SequenceSpec, _band, _windows, bprocess_constants
 from paircorr.kernels import FourierTable, default_h, integrate
-from paircorr.measure import (MuMeasure, _check_theta, _osc_panels,
-                              _stationary_scale)
+from paircorr.measure import MuMeasure, _osc_panels, _stationary_scale
 
 
 def e(ph):
@@ -49,7 +48,7 @@ def r_off_pairs(spec, f, h, eps=0.05) -> float:
     takes |E~_j|^2 minus its diagonal instead.  The two agree to rounding
     and exercise disjoint code paths.
     """
-    js = _band(spec, eps)
+    js = _band(spec.N, eps)
     if js.size == 0:
         return 0.0
     TH = spec.Theta
@@ -106,7 +105,7 @@ def _short_sum(spec, h, j, lo, hi):
             pref * math.fsum((a * a).tolist()))
 
 
-def moments_per_sample(theta, N, mu, samples, h, js, f_values=None):
+def moments_per_sample(N, mu, samples, h, js, f_values=None):
     """Per-sample rows of the Monte Carlo moments, one dilate at a time.
 
     Sample i takes mu.sample_alphas(1, substream=i)[0].  Without f_values
@@ -118,7 +117,7 @@ def moments_per_sample(theta, N, mu, samples, h, js, f_values=None):
     rows = []
     for i in range(samples):
         alpha = float(mu.sample_alphas(1, substream=i)[0])
-        spec = SequenceSpec(theta, alpha, N)
+        spec = SequenceSpec(mu.theta, alpha, N)
         lo, hi, _ = _windows(spec, js)
         parts = np.array([_short_sum(spec, h, j, lo[k], hi[k])
                           for k, j in enumerate(js.tolist())])
@@ -130,7 +129,7 @@ def moments_per_sample(theta, N, mu, samples, h, js, f_values=None):
     return np.array(rows)
 
 
-def osc_integral_vec(theta, N, j1, j2, m1, n1, m2, n2, mu, h=None,
+def osc_integral_vec(N, j1, j2, m1, n1, m2, n2, mu, h=None,
                      node_factor=8) -> complex:
     """Averaged quadruple term: two pair phases beating against each other.
 
@@ -140,10 +139,9 @@ def osc_integral_vec(theta, N, j1, j2, m1, n1, m2, n2, mu, h=None,
     the beta weight of mean-square averages: beta rho(beta) times the four
     window factors.
     """
-    _check_theta(theta, mu)
     if h is None:
         h = default_h()
-    Theta = mu.Theta
+    theta, Theta = mu.theta, mu.Theta
     c2 = bprocess_constants(theta).c2
     TH_LD = LD(Theta)
     one_m = LD(1.0) - TH_LD

@@ -162,13 +162,13 @@ def test_07_oscillatory_integral_decay(capsys):
         lo = math.ceil(0.5 * j * (2 * N) ** -0.5)
         hi = math.floor(0.5 * math.sqrt(2.0) * j * N**-0.5)
         for m in range(lo, hi + 1):
-            diag = osc_integral_single(0.5, N, j, m, m, mu)
+            diag = osc_integral_single(N, j, m, m, mu)
             min_diag = min(min_diag, diag.real)
             assert abs(diag.imag) <= 1e-12
             for n in range(lo, hi + 1):
                 if n != m:
                     worst_off = max(worst_off, abs(
-                        osc_integral_single(0.5, N, j, m, n, mu)))
+                        osc_integral_single(N, j, m, n, mu)))
                     n_pairs += 1
     ok = worst_off <= N**-3 and min_diag >= 0.0 and n_pairs > 0
     _report(capsys, 7, "oscillatory integral decay", ok,
@@ -182,10 +182,10 @@ def test_08_second_moments(capsys, f, h):
     t0 = time.time()
     mu = MuMeasure(0.5, seed=0)
     N = 10**4
-    ratios = [second_moment_tilde_e(0.5, N, j, mu, samples=2000).value / N
+    ratios = [second_moment_tilde_e(N, j, mu, samples=2000).value / N
               for j in (N, 2 * N, 4 * N)]
     Ns = (2**10, 2**12, 2**14)
-    vals = [second_moment_roff(0.5, n, f, h, 0.05, mu, samples=128).value
+    vals = [second_moment_roff(n, f, h, 0.05, mu, samples=128).value
             for n in Ns]
     slope = float(np.polyfit(np.log(Ns), np.log(vals), 1)[0])
     decreasing = all(a > b for a, b in zip(vals, vals[1:]))

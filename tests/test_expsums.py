@@ -9,8 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from paircorr import expsums, stats
-from paircorr._pool import _CHUNK
+from paircorr import _pool, expsums, stats
+from paircorr._pool import _CHUNK, ResourceGuardError
 from paircorr._precision import _pow_ld, as_ld, csum, e_frac, frac
 from paircorr.expsums import (DilateBlock, SequenceSpec, _band,
                               _direct_abs2, _index_range, _nufft_abs2,
@@ -305,7 +305,8 @@ def test_pair_corr_smooth_sweep_equals_brute(f, h):
     rng = np.random.default_rng(7)
     specs = [SequenceSpec(0.5, float(rng.uniform(1.0, 2.0)), 512)
              for _ in range(3)]
-    # small N: at N = 2 the radius 1/2 takes the brute path
+    # small N, down to N = 2, where h(./N) holds the one y = 3 and R is 0
+    # before either path is taken
     specs += [SequenceSpec(theta, float(rng.uniform(1.0, 2.0)), N)
               for N in range(2, 17) for theta in (0.3, 0.5)]
     # alpha = 1, theta = 1/2: the 13 squares in (1024, 2048) all sit at 0,
@@ -323,6 +324,61 @@ def test_pair_corr_smooth_sweep_equals_brute(f, h):
     spec = SequenceSpec(0.7, 1.37, 512)
     assert pair_corr_smooth(spec, wide, h) == pytest.approx(
         pair_corr_smooth(spec, wide, h, method="brute"), rel=1e-12)
+
+
+def _literal_pair_corr(spec, f, h):
+    """R as its double sum over x != y, each F_N(d) summed over k."""
+    ys = np.arange(1, 3 * spec.N)
+    ys = ys[h(ys / spec.N) > 0.0]
+    v = frac(as_ld(spec.alpha) * _pow_ld(ys, spec.theta))
+    hw = h(ys / spec.N)
+    total = []
+    for a in range(ys.size):
+        for b in range(ys.size):
+            if a != b:
+                d = v[a] - v[b]
+                total += [hw[a] * hw[b] * f(spec.N * (d + k))
+                          for k in range(-3, 4)]
+    return math.fsum(total) / spec.N
+
+
+@pytest.mark.parametrize("N", [16, 17, 18, 20])
+def test_pair_corr_smooth_near_the_half_circle(monkeypatch, h, N):
+    # supp f(N .) reaches r = 8/N: r = 1/2 at N = 16 takes the quadratic
+    # form, r from 0.47 to 0.4 the sweep over offsets
+    wide = make_bump(-8.0, 8.0)
+    spec = SequenceSpec(0.5, 1.37, N)
+    calls = []
+    original = expsums.periodize
+
+    def spy(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(expsums, "periodize", spy)
+    auto = pair_corr_smooth(spec, wide, h)
+    assert calls == ([N] if N == 16 else [])
+    brute = pair_corr_smooth(spec, wide, h, method="brute")
+    assert auto == pytest.approx(brute, rel=1e-13, abs=0.0)
+    assert auto == pytest.approx(_literal_pair_corr(spec, wide, h),
+                                 rel=1e-12, abs=0.0)
+
+
+def test_quadratic_pair_corr_past_the_memory_budget_is_refused(
+        monkeypatch, f, h):
+    spec = SequenceSpec(0.5, 1.37, 64)
+    M = _index_range(spec, h).size
+    need = M * M * expsums._BYTES_PER_PAIR
+    want = pair_corr_smooth(spec, f, h, method="brute")
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+    with pytest.raises(ResourceGuardError, match=f"need {need}, "):
+        pair_corr_smooth(spec, f, h, method="brute")
+    with pytest.raises(ResourceGuardError, match=f"need {need}, "):
+        pair_corr_smooth(spec, make_bump(-32.0, 32.0), h)
+    # the sweep keeps no pair table, and the budget itself is enough
+    assert pair_corr_smooth(spec, f, h) == pytest.approx(want, rel=1e-13)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
+    assert pair_corr_smooth(spec, f, h, method="brute") == want
 
 
 def test_pair_corr_smooth_rejects_an_unknown_method(monkeypatch, f, h):
@@ -492,7 +548,7 @@ def _short_cases():
     one = DilateBlock(0.5, np.array([1.37]), 2 ** 12)
     several = DilateBlock(0.3, np.array([1.0, 1.5, 2.0]), 1000)
     mixed = DilateBlock(0.7, rng.uniform(1.0, 2.0, 2), 2 ** 12)
-    return [(one, _band(SequenceSpec(0.5, 1.0, 2 ** 12), 0.05)),
+    return [(one, _band(2 ** 12, 0.05)),
             (several, np.arange(1, 1200)),
             (mixed, np.unique(rng.integers(1, 2 ** 13, 300)))]
 

@@ -44,3 +44,38 @@ def test_import_graph_is_acyclic_with_shared_modules_at_its_foot():
     tuple(graphlib.TopologicalSorter(graph).static_order())
     assert graph["_precision"] == set() and graph["_pool"] == set()
     assert not graph["stats"] & {"expsums", "diophantine"}
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; a name on a line marked
+    `noqa: F401` is bound on purpose and exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                if "noqa: F401" not in lines[a.lineno - 1]:
+                    bound[a.asname or a.name.split(".")[0]] = a.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {p.stem: _unused_imports(p.read_text())
+              for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_the_unused_import_check_sees_a_leftover():
+    source = ("from . import _pool\n"
+              "from .kernels import (FourierTable, TestKernel,\n"
+              "                      fourier)\n"
+              "from ._pool import guard  # noqa: F401\n"
+              "def s(f: TestKernel):\n"
+              "    return fourier(f, 1.0)\n")
+    assert _unused_imports(source) == ["FourierTable (line 2)",
+                                       "_pool (line 1)"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from paircorr.expsums import SequenceSpec, _band
+from paircorr.expsums import _band
 from paircorr.kernels import (DegenerateKernelError, FourierTable, KernelError,
                               TestKernel, default_f, default_h, default_rho,
                               fourier, integrate, make_bump, normalize_rho,
@@ -180,7 +180,7 @@ def _dense_oracle(table, xs):
 
 @pytest.mark.parametrize("xs, nodes_per_unit, lattice", [
     (np.arange(1, 64 * 64 + 1) / 64, 4096, True),   # j / N, j <= 64 N
-    (_band(SequenceSpec(0.5, 1.0, 2 ** 12), 0.05) / 2 ** 12, 4096, True),
+    (_band(2 ** 12, 0.05) / 2 ** 12, 4096, True),
     (np.arange(300, -1, -1) / 16.0, 1024, True),    # descending
     (np.arange(1, 1001) / 32.0, 1024, True),        # 1000 rows, T = 32
     (np.array([2.5]), 1024, False),

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from paircorr import expsums, measure
+from paircorr import _pool, expsums, measure
+from paircorr._pool import ResourceGuardError
 from paircorr._precision import as_ld
-from paircorr.expsums import SequenceSpec, _band, bprocess_constants
+from paircorr.expsums import _band, bprocess_constants
 from paircorr.kernels import FourierTable, default_h, make_bump
 from paircorr.measure import (MeasureError, MuMeasure, osc_integral_single,
                               second_moment_roff, second_moment_tilde_e)
@@ -67,22 +68,45 @@ def test_sampler_ks_distance(mu):
     assert ks < 0.002
 
 
-def test_theta_mismatch_rejected(mu):
-    with pytest.raises(ValueError):
-        osc_integral_single(0.4, 200, 250, 7, 9, mu)
-
-
 def test_osc_single_diagonal_real_nonnegative(mu):
     for m in (6, 7, 9):
-        val = osc_integral_single(0.5, 200, 250, m, m, mu)
+        val = osc_integral_single(200, 250, m, m, mu)
         assert abs(val.imag) < 1e-15
         assert val.real >= 0.0
 
 
 def test_osc_single_vanishes_off_window(mu):
     # stationary points far from [N, 2N]: the h factors are identically 0
-    assert osc_integral_single(0.5, 200, 250, 1, 2, mu) == 0.0
-    assert osc_integral_vec(0.5, 200, 250, 260, 1, 2, 1, 3, mu) == 0.0
+    assert osc_integral_single(200, 250, 1, 2, mu) == 0.0
+    assert osc_integral_vec(200, 250, 260, 1, 2, 1, 3, mu) == 0.0
+
+
+def test_osc_single_off_window_builds_no_grid(monkeypatch):
+    # x~_3 and x~_5 put both h windows far below beta = 1: the grid would
+    # have had 2.2e9 panels, a 16 GiB request
+    calls = []
+    monkeypatch.setattr(measure, "_gl_grid",
+                        lambda *args: calls.append(args))
+    assert osc_integral_single(1000, 1500, 3, 5, MuMeasure(0.7)) == 0j
+    assert calls == []
+
+
+def test_osc_single_past_the_memory_budget_is_refused(monkeypatch, mu):
+    # in-window: 7 and 9 are stationary points of j = 250 at N = 200
+    want = osc_integral_single(200, 250, 7, 9, mu)
+    assert want != 0j
+    panels = []
+    original = measure._gl_grid
+    monkeypatch.setattr(measure, "_gl_grid", lambda lo, hi, p: (
+        panels.append(p), original(lo, hi, p))[1])
+    osc_integral_single(200, 250, 7, 9, mu)
+    need = panels[0] * measure._BYTES_PER_PANEL
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+    with pytest.raises(ResourceGuardError, match=f"need {need}, "):
+        osc_integral_single(200, 250, 7, 9, mu)
+    assert len(panels) == 1
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
+    assert osc_integral_single(200, 250, 7, 9, mu) == want
 
 
 def test_osc_single_decay_for_off_diagonal(mu):
@@ -94,19 +118,19 @@ def test_osc_single_decay_for_off_diagonal(mu):
         hi = int(2.0 * base) + 1
         for m in range(lo, hi + 1):
             for n in range(m + 1, hi + 1):
-                worst = max(worst, abs(osc_integral_single(0.5, N, j, m, n, mu)))
+                worst = max(worst, abs(osc_integral_single(N, j, m, n, mu)))
     assert worst <= N ** -3.0
 
 
 def test_osc_vec_degenerate_is_real_nonnegative(mu):
-    val = osc_integral_vec(0.5, 200, 250, 250, 7, 9, 7, 9, mu)
+    val = osc_integral_vec(200, 250, 250, 7, 9, 7, 9, mu)
     assert abs(val.imag) < 1e-15
     assert val.real >= 0.0
 
 
 def test_osc_vec_empirical_envelope(mu):
     # |I| <= 1000 / Y^3 for beat frequency Y >= 10, random admissible tuples
-    theta, N = 0.5, 200
+    N = 200
     TH = mu.Theta
     rng = np.random.default_rng(7)
     got = 0
@@ -124,16 +148,16 @@ def test_osc_vec_empirical_envelope(mu):
         if Y < 10.0:
             continue
         got += 1
-        I = osc_integral_vec(theta, N, j1, j2, m1, n1, m2, n2, mu)
+        I = osc_integral_vec(N, j1, j2, m1, n1, m2, n2, mu)
         assert abs(I) <= 1000.0 / Y ** 3
 
 
 def test_osc_quadrature_stability(mu):
-    a = osc_integral_single(0.5, 200, 250, 7, 9, mu, node_factor=8)
-    b = osc_integral_single(0.5, 200, 250, 7, 9, mu, node_factor=16)
+    a = osc_integral_single(200, 250, 7, 9, mu, node_factor=8)
+    b = osc_integral_single(200, 250, 7, 9, mu, node_factor=16)
     assert abs(a - b) < 1e-8
-    c = osc_integral_vec(0.5, 200, 211, 223, 6, 8, 7, 9, mu, node_factor=8)
-    d = osc_integral_vec(0.5, 200, 211, 223, 6, 8, 7, 9, mu, node_factor=16)
+    c = osc_integral_vec(200, 211, 223, 6, 8, 7, 9, mu, node_factor=8)
+    d = osc_integral_vec(200, 211, 223, 6, 8, 7, 9, mu, node_factor=16)
     assert abs(c - d) < 1e-8
 
 
@@ -161,11 +185,11 @@ def test_phase_frequency_floor(mu):
 
 def test_second_moment_tilde_e_basics(mu):
     # below the window threshold the short sum is identically zero
-    est = second_moment_tilde_e(0.5, 10**4, 10, mu, samples=16)
+    est = second_moment_tilde_e(10**4, 10, mu, samples=16)
     assert est.value == 0.0 and est.stderr == 0.0
-    est2 = second_moment_tilde_e(0.5, 10**4, 10**4, mu, samples=32)
+    est2 = second_moment_tilde_e(10**4, 10**4, mu, samples=32)
     assert est2.value >= 0.0
-    again = second_moment_tilde_e(0.5, 10**4, 10**4, mu, samples=32)
+    again = second_moment_tilde_e(10**4, 10**4, mu, samples=32)
     assert again.value == est2.value and again.stderr == est2.stderr
     assert est2.samples == 32
 
@@ -174,11 +198,11 @@ def test_second_moment_tilde_e_basics(mu):
 def test_second_moment_tilde_e_needs_two_samples(mu, samples):
     # one sample has no standard error, none has no mean
     with pytest.raises(ValueError, match="at least 2 samples"):
-        second_moment_tilde_e(0.5, 2048, 2048, mu, samples=samples)
+        second_moment_tilde_e(2048, 2048, mu, samples=samples)
 
 
 def test_second_moment_diagonal_dominance(mu):
-    total, diag = second_moment_tilde_e(0.5, 10**4, 10**4, mu, samples=256,
+    total, diag = second_moment_tilde_e(10**4, 10**4, mu, samples=256,
                                         split=True)
     ratio = total.value / diag.value
     assert 0.5 <= ratio <= 2.0
@@ -186,13 +210,13 @@ def test_second_moment_diagonal_dominance(mu):
 
 def test_second_moment_roff_guards_and_empty_regime(mu, f, h):
     with pytest.raises(ValueError):
-        second_moment_roff(0.5, 1024, f, h, 0.05, mu, samples=50)
-    est = second_moment_roff(0.5, 16, f, h, 0.05, mu, samples=100)
+        second_moment_roff(1024, f, h, 0.05, mu, samples=50)
+    est = second_moment_roff(16, f, h, 0.05, mu, samples=100)
     assert est.value <= 1e-30
 
 
 def test_moment_estimate_stderr_definition(mu):
-    est = second_moment_tilde_e(0.5, 2048, 2048, mu, samples=64)
+    est = second_moment_tilde_e(2048, 2048, mu, samples=64)
     # reconstruct the per-sample values from the same substreams
     from paircorr.expsums import SequenceSpec
     from paircorr.expsums import _short_components
@@ -231,7 +255,7 @@ def test_first_draws_fall_back_when_a_round_rejects_all(monkeypatch):
     calls = []
     original = MuMeasure.sample_alphas
 
-    def counted(self, n, substream=None):
+    def counted(self, n, substream):
         calls.append(substream)
         return original(self, n, substream)
 
@@ -262,7 +286,7 @@ def test_blocks_are_consecutive_capped_and_spread(monkeypatch, workers,
     monkeypatch.setattr(measure, "_thread_workers", lambda: workers)
     for samples in (2, 5, 6, 9, 64, 100, 500):
         blocks = _spy_blocks(monkeypatch)
-        got = measure._per_block(0.5, 1024, mu, samples, js,
+        got = measure._per_block(1024, mu, samples, js,
                                  lambda b: b.alphas)
         assert got.tobytes() == mu.first_draws(samples).tobytes()
         assert (np.concatenate([b.alphas for b in blocks]).tobytes()
@@ -286,9 +310,9 @@ def test_one_windows_pass_per_block(monkeypatch, f, h):
     monkeypatch.setattr(measure, "_windows", spy, raising=False)
     monkeypatch.setattr(measure, "_thread_workers", lambda: 2)
     mu = MuMeasure(0.5, seed=11)
-    for run in (lambda: second_moment_tilde_e(0.5, 2048, 4096, mu,
+    for run in (lambda: second_moment_tilde_e(2048, 4096, mu,
                                               samples=64),
-                lambda: second_moment_roff(0.5, 1024, f, h, 0.05, mu,
+                lambda: second_moment_roff(1024, f, h, 0.05, mu,
                                            samples=100)):
         blocks = _spy_blocks(monkeypatch)
         calls.clear()
@@ -300,14 +324,14 @@ def test_one_windows_pass_per_block(monkeypatch, f, h):
 def test_moments_do_not_depend_on_the_blocks(monkeypatch, f, h):
     # one block per sample on one thread against the default cut
     mu = MuMeasure(0.5, seed=17)
-    ref = (second_moment_tilde_e(0.5, 10**4, 2 * 10**4, mu, samples=64,
+    ref = (second_moment_tilde_e(10**4, 2 * 10**4, mu, samples=64,
                                  split=True),
-           second_moment_roff(0.5, 1024, f, h, 0.05, mu, samples=100))
+           second_moment_roff(1024, f, h, 0.05, mu, samples=100))
     monkeypatch.setattr(measure, "_BLOCK_PAIRS", 1)
     monkeypatch.setattr(measure, "_thread_workers", lambda: 1)
-    got = (second_moment_tilde_e(0.5, 10**4, 2 * 10**4, mu, samples=64,
+    got = (second_moment_tilde_e(10**4, 2 * 10**4, mu, samples=64,
                                  split=True),
-           second_moment_roff(0.5, 1024, f, h, 0.05, mu, samples=100))
+           second_moment_roff(1024, f, h, 0.05, mu, samples=100))
     assert got == ref
 
 
@@ -315,9 +339,9 @@ def test_moments_do_not_depend_on_the_blocks(monkeypatch, f, h):
 def test_second_moment_tilde_e_matches_per_sample_oracle(N, j):
     mu = MuMeasure(0.5, seed=31)
     h = default_h()
-    total, diag = second_moment_tilde_e(0.5, N, j, mu, samples=200, h=h,
+    total, diag = second_moment_tilde_e(N, j, mu, samples=200, h=h,
                                         split=True)
-    rows = moments_per_sample(0.5, N, mu, 200, h, np.array([j]))
+    rows = moments_per_sample(N, mu, 200, h, np.array([j]))
     for est, col in ((total, rows[:, 0]), (diag, rows[:, 1])):
         assert est.value > 0.0
         assert est.value == pytest.approx(col.mean(), rel=1e-12)
@@ -328,10 +352,10 @@ def test_second_moment_tilde_e_matches_per_sample_oracle(N, j):
 def test_second_moment_roff_matches_per_sample_oracle(f, h):
     N = 512
     mu = MuMeasure(0.5, seed=47)
-    est = second_moment_roff(0.5, N, f, h, 0.05, mu, samples=100)
-    js = _band(SequenceSpec(0.5, 1.0, N), 0.05)
+    est = second_moment_roff(N, f, h, 0.05, mu, samples=100)
+    js = _band(N, 0.05)
     fv = FourierTable(f, max_abs_freq=js[-1] / N).values(js / N).real
-    rows = moments_per_sample(0.5, N, mu, 100, h, js, fv)
+    rows = moments_per_sample(N, mu, 100, h, js, fv)
     assert est.value > 0.0
     assert est.value == pytest.approx(rows.mean(), rel=1e-12)
     assert est.stderr == pytest.approx(rows.std(ddof=1) / 10.0, rel=1e-12)

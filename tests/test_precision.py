@@ -10,7 +10,7 @@ import pytest
 
 from paircorr._precision import LD, as_ld, e_frac, frac, iceil, ifloor
 from paircorr.diophantine import dio_instance
-from paircorr.expsums import DilateBlock, SequenceSpec, _band, _windows
+from paircorr.expsums import DilateBlock, _band, _windows
 
 TWO_62, TWO_63, TWO_70 = LD(2) ** 62, LD(2) ** 63, LD(2) ** 70
 
@@ -205,9 +205,9 @@ def old_windows(spec, js):
     return lo, hi, np.maximum(hi - lo + 1, 0)
 
 
-def old_band(spec, eps):
-    lo = int(math.ceil(spec.N ** (1.0 - eps) * (1.0 - 1e-12)))
-    hi = int(math.floor(spec.N ** (1.0 + eps) * (1.0 + 1e-12)))
+def old_band(N, eps):
+    lo = int(math.ceil(N ** (1.0 - eps) * (1.0 - 1e-12)))
+    hi = int(math.floor(N ** (1.0 + eps) * (1.0 + 1e-12)))
     return np.arange(max(lo, 1), hi + 1, dtype=np.int64)
 
 
@@ -249,8 +249,7 @@ def test_windows_band_and_dio_cells_keep_their_integers():
                 ties += int(near.sum())
                 inexact += int((near & (edge != np.round(edge))).sum())
             for eps in (0.0, 0.05, 0.1, 0.5):
-                spec = SequenceSpec(theta, 1.0, N)
-                assert np.array_equal(_band(spec, eps), old_band(spec, eps))
+                assert np.array_equal(_band(N, eps), old_band(N, eps))
     assert ties > 100 and inexact > 100
     for theta in (0.3, 0.5, 0.7):
         for N in (4, 16, 100, 256, 512, 4096):
