@@ -138,6 +138,7 @@ def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
 
     master = _b_on_grid(inv_h - xi, inv_h + xi, inv_h, series_cutoff)
     psi_half = 0.5 * (master[:xi + 1][::-1] + master[xi:])
+    del master
     x_half = np.arange(xi + 1) / inv_h
 
     margins: dict[str, float] = {}
@@ -154,17 +155,22 @@ def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
     demand("psi_hat_core_ge_1", float(psi_half[:inv_h + 1].min() - 1.0), -1e-9)
 
     # transform: trapezoid equals a type-1 DCT here; zero-padding past x_max
-    # refines the t grid at the price of the (already tiny) tail of psi_hat
-    padded = np.concatenate([psi_half,
-                             np.zeros((_PAD - 1) * xi, dtype=np.float64)])
-    spectrum = dct(padded, type=1) * spacing
+    # refines the t grid at the price of the (already tiny) tail of psi_hat.
+    # Every step works in place and each spent array is dropped: the DCT's
+    # own workspace is most of this function's peak
+    padded = np.zeros(_PAD * xi + 1, dtype=np.float64)
+    padded[:xi + 1] = psi_half
+    spectrum = dct(padded, type=1, overwrite_x=True)
+    del padded
+    spectrum *= spacing
     dt = 1.0 / (2.0 * _PAD * x_max)
     k_keep = int(round(t_max / dt)) + 1
     t_grid = np.arange(k_keep) * dt
-    psi_plus = spectrum[:k_keep]
+    psi_plus = spectrum[:k_keep].copy()
     out_band = spectrum[int(math.floor(1.0 / dt)) + 1:]
     demand("psi_plus_small_outside", -float(np.max(np.abs(out_band))), -1e-3)
     demand("psi_plus_at_0_ge_2", float(spectrum[0] - 2.0), -1e-6)
+    del spectrum, out_band
 
     phi_vals = psi_plus ** 2
     demand("phi_nonneg", float(phi_vals.min()), 0.0)
@@ -173,11 +179,19 @@ def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
     L = 2 * psi_full.size - 1
     nfft = next_fast_len(L)
     F = rfft(psi_full, nfft)
-    conv = irfft(F * F, nfft)[:L] * spacing
+    del psi_full
+    F *= F
+    conv = irfft(F, nfft, overwrite_x=True)[:L]
+    del F
+    conv *= spacing
     conv_x = (np.arange(L) - (L - 1) // 2) / inv_h
     demand("phi_hat_nonneg", float(conv.min()), -1e-9)
-    tent = np.maximum(0.0, 2.0 - np.abs(conv_x))
-    demand("phi_hat_ge_tent", float((conv - tent).min()), -1e-4)
+    # conv - max(0, 2 - |x|), built in one array
+    tent = np.abs(conv_x)
+    np.subtract(2.0, tent, out=tent)
+    np.maximum(0.0, tent, out=tent)
+    np.subtract(conv, tent, out=tent)
+    demand("phi_hat_ge_tent", float(tent.min()), -1e-4)
     demand("phi_hat_at_0_ge_2", float(conv[(L - 1) // 2] - 2.0), -1e-6)
 
     return BeurlingSelberg(

@@ -24,10 +24,11 @@ from ._precision import (_pow_ld, as_ld, e_frac, frac,  # noqa: F401
 
 _ENUM_BUDGET = 10**9
 
-# peak bytes a pair holds in build_zset: m, n and z per gap, their
-# concatenations, the sort order and the sorted copies (80.2 to 81.5 under
-# tracemalloc, the window's powers included)
-_BYTES_PER_Z = 84
+# peak bytes in build_zset: a pair's m, n and z, filled in place, then the
+# sort order and one sorted copy at a time (40.0 under tracemalloc); and
+# while the pairs are filled, a window point's m and long-double power
+_BYTES_PER_Z = 40
+_BYTES_PER_M = 24
 
 # peak bytes a product holds through count_duq: the products, sorted in
 # place, a shifted copy and the two search bounds (32.0 under tracemalloc)
@@ -134,23 +135,32 @@ def build_zset(inst: DioInstance) -> ZMultiset:
     gaps = range(inst.gap_lo, min(inst.gap_hi, width + 1))
     total = sum(width + 1 - d for d in gaps)
     _pool.guard(total, "z enumeration pairs", _ENUM_BUDGET)
-    _pool.guard(total * _BYTES_PER_Z, f"bytes for {total} z pairs")
+    _pool.guard(total * _BYTES_PER_Z + (width + 1) * _BYTES_PER_M,
+                f"bytes for {total} z pairs")
     if total == 0:
         empty = np.array([], dtype=np.int64)
         return ZMultiset(z=np.array([], dtype=np.float64), m=empty, n=empty)
-    btab = _pow_ld(np.arange(inst.m_lo, inst.m_hi + 1), 1.0 - inst.Theta)
-    ms, ns, zs = [], [], []
+    window = np.arange(inst.m_lo, inst.m_hi + 1, dtype=np.int64)
+    btab = _pow_ld(window, 1.0 - inst.Theta)
+    m = np.empty(total, dtype=np.int64)
+    n = np.empty(total, dtype=np.int64)
+    z = np.empty(total, dtype=np.float64)
+    i = 0
     for d in gaps:
         k = width + 1 - d
-        m = np.arange(inst.m_lo, inst.m_lo + k, dtype=np.int64)
-        ms.append(m)
-        ns.append(m + d)
-        zs.append((btab[:k] - btab[d:d + k]).astype(np.float64))
-    m_all = np.concatenate(ms)
-    n_all = np.concatenate(ns)
-    z_all = np.concatenate(zs)
-    order = np.argsort(z_all, kind="stable")
-    return ZMultiset(z=z_all[order], m=m_all[order], n=n_all[order])
+        m[i:i + k] = window[:k]
+        np.add(window[:k], d, out=n[i:i + k])
+        # the long-double difference, rounded to float64 in buffered chunks
+        np.subtract(btab[:k], btab[d:d + k], out=z[i:i + k],
+                    casting="same_kind")
+        i += k
+    del window, btab
+    order = np.argsort(z, kind="stable")
+    # each sorted copy replaces its source before the next is made
+    z = z[order]
+    m = m[order]
+    n = n[order]
+    return ZMultiset(z=z, m=m, n=n)
 
 
 def _products(inst: DioInstance, zset: ZMultiset | None = None) -> np.ndarray:

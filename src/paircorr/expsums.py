@@ -98,11 +98,18 @@ def bprocess_constants(theta: float) -> BProcessConstants:
     return BProcessConstants(c1=c1, c2=c2)
 
 
-def _index_range(spec: SequenceSpec, h: TestKernel) -> np.ndarray:
-    """Integers y >= 1 with N*support_lo < y < N*support_hi."""
+def _index_bounds(spec: SequenceSpec, h: TestKernel) -> tuple[int, int]:
+    """The least and largest integer y >= 1 with N*support_lo < y <
+    N*support_hi; the largest is below the least when there is none."""
     lo = int(math.floor(spec.N * h.support_lo)) + 1
     hi = int(math.ceil(spec.N * h.support_hi)) - 1
-    return np.arange(max(lo, 1), hi + 1, dtype=np.int64)
+    return max(lo, 1), hi
+
+
+def _index_range(spec: SequenceSpec, h: TestKernel) -> np.ndarray:
+    """Integers y >= 1 with N*support_lo < y < N*support_hi."""
+    lo, hi = _index_bounds(spec, h)
+    return np.arange(lo, hi + 1, dtype=np.int64)
 
 
 def _h_window(spec: SequenceSpec, h: TestKernel):
@@ -157,6 +164,14 @@ _SPREAD = 16
 _OVERSAMPLE = 2
 _BETA = math.pi * (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)
 
+# peak bytes of _nufft_abs2 under tracemalloc: a grid cell's float64 and
+# its share of the transform (16), a j's deconvolution and transform rows
+# (40), and a node's phases and its 2 * _SPREAD spreading weights and cells
+# (at most 866)
+_NUFFT_BYTES_PER_CELL = 16
+_NUFFT_BYTES_PER_J = 40
+_NUFFT_BYTES_PER_NODE = 880
+
 
 def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
     """|E_j|^2 for j = 1..j_max by a type-1 nonuniform FFT.
@@ -175,17 +190,23 @@ def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
     M is the least power of two >= _OVERSAMPLE * (2 j_max + 2), and at
     least 64: below 8 (j_max + 1) past that floor.  Each grid holds M
     float64 and its transform M/2 + 1 complex128, so each takes about
-    8M < 64 (j_max + 1) bytes.
+    8M < 64 (j_max + 1) bytes.  The byte guard counts the grids, the rows
+    in j and the spreading tables before any of them is built.
     """
-    w, powers = _h_window(spec, h)
-    if w.size == 0:
+    y_lo, y_hi = _index_bounds(spec, h)
+    nodes = y_hi - y_lo + 1
+    if nodes <= 0:
         return np.zeros(j_max)
+    M = max(64, 1 << (_OVERSAMPLE * (2 * j_max + 2) - 1).bit_length())
+    _pool.guard(M * _NUFFT_BYTES_PER_CELL + j_max * _NUFFT_BYTES_PER_J
+                + nodes * _NUFFT_BYTES_PER_NODE,
+                f"bytes for a {M}-cell NUFFT of {nodes} nodes")
+    w, powers = _h_window(spec, h)
     x = as_ld(spec.alpha) * powers
     # 0 < x < 2**63, so truncation is floor and the remainder is exact
     r = x - x.astype(np.int64)
     hi = r.astype(np.float64)
     lo = (r - hi).astype(np.float64)
-    M = max(64, 1 << (_OVERSAMPLE * (2 * j_max + 2) - 1).bit_length())
     p = hi * M
     cell = np.floor(p)
     d = np.arange(1 - _SPREAD, _SPREAD + 1)

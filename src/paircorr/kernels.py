@@ -16,6 +16,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import _pool
+
 
 class KernelError(Exception):
     """A kernel violated a construction contract."""
@@ -167,8 +169,22 @@ def fourier(kernel: TestKernel, x, nodes_per_unit: int = 4096):
     return out
 
 
-# complex entries per block of phases, about 64 MB
-_BLOCK = 4_000_000
+# complex entries per block of phases (512 kB): the exponentials are taken
+# a block at a time, so their temporaries stay small.  Elementwise, so no
+# output depends on it
+_BLOCK = 2 ** 15
+
+# rows of each matrix product: 32 coarse rows (4 MB at 8192 nodes) per
+# zgemm, or 32 dense rows per zgemv.  A zgemm sums each output over the
+# nodes in an order set by the group of rows its kernel takes it in (4 on
+# x86-64 OpenBLAS); blocks that start at multiples of 32 keep every row in
+# the group it has in one whole product, and so keep its bits
+_ROWS = 32
+
+# the fine table has at most _FINE // nodes rows (about 64 MB).  The split
+# of a lattice into fine and coarse rows, and so every output's bits,
+# depend on it
+_FINE = 4_000_000
 
 
 class FourierTable:
@@ -180,6 +196,8 @@ class FourierTable:
     e(-t*step*y) * e(-(x0 + b*T*step)*y) with i = b*T + t, so one fine and
     one coarse table of about sqrt(n) rows each and a matrix product replace
     the n-by-nodes exponentials; any other input is a direct matrix product.
+    Only the fine table is held whole: coarse and dense rows stream through
+    one buffer of _ROWS rows.
     """
 
     def __init__(self, kernel: TestKernel, max_abs_freq: float = 64.0,
@@ -195,26 +213,49 @@ class FourierTable:
                 f"frequency {fmax} outside the table band "
                 f"[-{self.max_abs_freq}, {self.max_abs_freq}]")
 
-    def _phases(self, xs: np.ndarray) -> np.ndarray:
-        return np.exp(-2j * np.pi * np.outer(xs, self._nodes))
+    def _fill(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[i, k] = e(-xs[i] * node_k), in row blocks of about _BLOCK
+        entries."""
+        rows = max(1, _BLOCK // self._nodes.size)
+        for i in range(0, xs.size, rows):
+            blk = out[i:i + rows]
+            np.multiply(-2j * np.pi, np.outer(xs[i:i + rows], self._nodes),
+                        out=blk)
+            np.exp(blk, out=blk)
+        return out
+
+    def _streamed(self, xs: np.ndarray):
+        """(i, the phase rows of xs[i:j]) over blocks of _ROWS rows, all in
+        one reused buffer.  The last block takes a lone trailing row: a
+        product of one row is a zgemv or zdotu, whose sums over the nodes
+        run in another order than zgemm's."""
+        stops = [*range(_ROWS, xs.size - 1, _ROWS), xs.size]
+        buf = np.empty((min(_ROWS + 1, xs.size), self._nodes.size),
+                       dtype=np.complex128)
+        i = 0
+        for j in stops:
+            yield i, self._fill(xs[i:j], buf[:j - i])
+            i = j
 
     def _dense(self, xs: np.ndarray) -> np.ndarray:
         out = np.empty(xs.size, dtype=np.complex128)
-        rows = max(1, _BLOCK // self._nodes.size)
-        for i in range(0, xs.size, rows):
-            out[i:i + rows] = self._phases(xs[i:i + rows]) @ self._wvals
+        for i, phases in self._streamed(xs):
+            out[i:i + len(phases)] = phases @ self._wvals
         return out
 
     def _lattice(self, x0: float, step: float, n: int) -> np.ndarray:
-        rows = max(1, _BLOCK // self._nodes.size)
-        T = min(math.isqrt(n - 1) + 1, rows)
-        fine = self._phases(step * np.arange(T))
+        K = self._nodes.size
+        T = min(math.isqrt(n - 1) + 1, max(1, _FINE // K))
+        _pool.guard((T + _ROWS + 1) * K * 16,
+                    f"bytes for a {T} x {K} fine phase table")
+        fine = self._fill(step * np.arange(T),
+                          np.empty((T, K), dtype=np.complex128))
         starts = x0 + step * (T * np.arange(-(-n // T)))
-        out = np.empty(starts.size * T, dtype=np.complex128)
-        for b in range(0, starts.size, rows):
-            coarse = self._phases(starts[b:b + rows]) * self._wvals
-            out[b * T:(b + rows) * T] = (fine @ coarse.T).T.ravel()
-        return out[:n]
+        out = np.empty((starts.size, T), dtype=np.complex128)
+        for b, coarse in self._streamed(starts):
+            coarse *= self._wvals
+            out[b:b + len(coarse)] = (fine @ coarse.T).T
+        return out.ravel()[:n]
 
     def values(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)

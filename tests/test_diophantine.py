@@ -255,10 +255,23 @@ def _peak(fn):
         tracemalloc.stop()
 
 
+def _z_need(inst, size):
+    """build_zset's byte count: its pairs and its m-window."""
+    return (size * diophantine._BYTES_PER_Z
+            + (inst.m_hi - inst.m_lo + 1) * diophantine._BYTES_PER_M)
+
+
+# one gap: a window point per pair, whose powers the pair count alone
+# does not cover
+ONE_GAP = DioInstance(theta=0.3, j_lo=2, j_hi=4, m_lo=1, m_hi=100_000,
+                      gap_lo=1, gap_hi=2, threshold=3.0)
+
+
 def test_enumeration_byte_counts_cover_the_measured_peaks():
-    zset, peak = _peak(lambda: build_zset(CELL))
-    # 64 kB for the few Python objects a call holds outside its arrays
-    assert peak <= zset.size * diophantine._BYTES_PER_Z + 2 ** 16
+    for inst in (CELL, ONE_GAP):
+        zset, peak = _peak(lambda: build_zset(inst))
+        # 64 kB for the few Python objects a call holds outside its arrays
+        assert peak <= _z_need(inst, zset.size) + 2 ** 16
     est = CELL.js.size * zset.size
     _, peak = _peak(lambda: count_duq(CELL, zset))
     assert peak <= est * diophantine._BYTES_PER_PRODUCT + 2 ** 16
@@ -268,7 +281,7 @@ def test_enumerations_past_the_memory_budget_are_refused_unbuilt(
         monkeypatch):
     zset = build_zset(CELL)
     count = count_duq(CELL, zset)
-    z_need = zset.size * diophantine._BYTES_PER_Z
+    z_need = _z_need(CELL, zset.size)
     p_need = CELL.js.size * zset.size * diophantine._BYTES_PER_PRODUCT
     calls = []
 

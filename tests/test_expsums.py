@@ -4,6 +4,7 @@ import cmath
 import math
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -156,6 +157,52 @@ def test_nufft_abs2_matches_the_direct_sums(h, theta):
             want = _direct_abs2(spec, h, np.arange(1, j_max + 1))
             assert got.shape == (j_max,)
             assert np.abs(got - want).max() <= 1e-13 * H1 ** 2
+
+
+def _nufft_need(spec, h, j_max):
+    """_nufft_abs2's byte count: its grid cells, its j and its nodes."""
+    M = max(64, 1 << (expsums._OVERSAMPLE * (2 * j_max + 2) - 1).bit_length())
+    return (M * expsums._NUFFT_BYTES_PER_CELL
+            + j_max * expsums._NUFFT_BYTES_PER_J
+            + _index_range(spec, h).size * expsums._NUFFT_BYTES_PER_NODE)
+
+
+@pytest.mark.parametrize("N, j_max", [(17, 7), (512, 64 * 512),
+                                      (4096, 1000), (32768, 100)])
+def test_nufft_abs2_byte_count_covers_its_measured_peak(h, N, j_max):
+    spec = SequenceSpec(0.5, 1.37, N)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _nufft_abs2(spec, h, j_max)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 64 kB for the few Python objects a call holds outside its arrays
+    assert peak <= _nufft_need(spec, h, j_max) + 2 ** 16
+
+
+def test_nufft_abs2_past_the_memory_budget_is_refused_unbuilt(h,
+                                                             monkeypatch):
+    spec = SequenceSpec(0.5, 1.37, 512)
+    want = _nufft_abs2(spec, h, 64 * 512)
+    need = _nufft_need(spec, h, 64 * 512)
+    calls = []
+    window = expsums._h_window
+
+    def spy(spec, h):
+        calls.append(spec.N)
+        return window(spec, h)
+
+    monkeypatch.setattr(expsums, "_h_window", spy)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+    with pytest.raises(ResourceGuardError, match=f"need {need}, "):
+        _nufft_abs2(spec, h, 64 * 512)
+    assert calls == []
+    # at exactly its need the transform is built, with the same bits
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
+    assert _nufft_abs2(spec, h, 64 * 512).tobytes() == want.tobytes()
+    assert calls == [512]
 
 
 def test_nufft_abs2_against_mpmath_past_1e8_phases(h):

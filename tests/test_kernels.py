@@ -1,10 +1,13 @@
 """Kernel plumbing: bumps, quadrature, transforms, periodization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from paircorr import _pool, kernels
+from paircorr._pool import ResourceGuardError
 from paircorr.expsums import _band
 from paircorr.kernels import (DegenerateKernelError, FourierTable, KernelError,
                               TestKernel, default_f, default_h, default_rho,
@@ -196,6 +199,102 @@ def test_fourier_table_matches_dense_oracle(xs, nodes_per_unit, lattice):
         # every lattice must take the factored product, not the dense path
         table._dense = None
     assert np.max(np.abs(table.values(xs) - _dense_oracle(table, xs))) < 1e-14
+
+
+# check 5's frequencies j / 512, j <= 64 * 512
+CHECK5 = np.arange(1, 64 * 512 + 1) / 512
+STREAMED = [
+    (np.arange(300, -1, -1) / 16.0, 1024),          # descending lattice
+    (np.arange(1, 1001) / 32.0, 1024),              # ascending, T = 32
+    (0.3 + np.arange(5000) * 0.0123, 1024),         # offset, 71 coarse rows
+    (_band(2 ** 14, 0.05) / 2 ** 14, 4096),         # 129 coarse rows
+    (np.random.default_rng(5).uniform(-9.0, 9.0, 997), 1024),   # dense
+]
+
+
+@pytest.mark.parametrize("xs, nodes_per_unit", STREAMED)
+@pytest.mark.parametrize("block, rows", [(1, 4), (1, None), (None, 8)])
+def test_fourier_table_bytes_do_not_depend_on_the_blocks(
+        monkeypatch, xs, nodes_per_unit, block, rows):
+    table = FourierTable(default_f(), float(np.max(np.abs(xs))),
+                         nodes_per_unit)
+    want = table.values(xs)
+    # one row of exponentials per block, and products of 4 or 8 rows: a
+    # multiple of the rows a zgemm kernel takes at once
+    if block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+    if rows is not None:
+        monkeypatch.setattr(kernels, "_ROWS", rows)
+    assert table.values(xs).tobytes() == want.tobytes()
+
+
+def _one_shot_lattice(table, xs):
+    """The factored lattice product in one zgemm: fine @ (coarse * w).T."""
+    n, K = xs.size, table._nodes.size
+    step = (xs[-1] - xs[0]) / (n - 1)
+    T = min(math.isqrt(n - 1) + 1, kernels._FINE // K)
+    starts = xs[0] + step * (T * np.arange(-(-n // T)))
+    fine = np.exp(-2j * np.pi * np.outer(step * np.arange(T), table._nodes))
+    coarse = np.exp(-2j * np.pi * np.outer(starts, table._nodes))
+    return (fine @ (coarse * table._wvals).T).T.ravel()[:n]
+
+
+@pytest.mark.parametrize("xs, nodes_per_unit",
+                         [(CHECK5, 4096)] + STREAMED[:4])
+def test_fourier_table_lattice_is_the_one_shot_product(xs, nodes_per_unit):
+    table = FourierTable(default_f(), float(np.max(np.abs(xs))),
+                         nodes_per_unit)
+    assert table.values(xs).tobytes() == \
+        _one_shot_lattice(table, xs).tobytes()
+
+
+def test_fourier_table_check5_peak_is_the_fine_table_and_a_few_blocks():
+    table = FourierTable(default_f(), 64.0)
+    K = table._nodes.size
+    T = math.isqrt(CHECK5.size - 1) + 1
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table.values(CHECK5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 23.9 MB of fine table (182 x 8192); the coarse buffer, one block of
+    # exponentials and the output take about 5.3 MB more
+    assert T * K * 16 < peak < T * K * 16 + 8 * 2 ** 20
+
+
+def test_fourier_table_without_dense_path_takes_lattices_only():
+    table = FourierTable(default_f(), 16.0, 1024)
+    lattice = np.arange(-64, 65) / 8.0
+    want = table.values(lattice)
+    table._dense = None
+    assert table.values(lattice).tobytes() == want.tobytes()
+    with pytest.raises(TypeError):
+        table.values(np.array([0.5, 1.0, 3.0]))
+
+
+def test_fourier_table_guard_refuses_the_fine_table_unbuilt(monkeypatch):
+    table = FourierTable(default_f(), 64.0)
+    want = table.values(CHECK5)
+    K = table._nodes.size
+    T = math.isqrt(CHECK5.size - 1) + 1
+    need = (T + kernels._ROWS + 1) * K * 16
+    fills = []
+    fill = table._fill
+
+    def spy(xs, out):
+        fills.append(xs.size)
+        return fill(xs, out)
+
+    monkeypatch.setattr(table, "_fill", spy)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+    with pytest.raises(ResourceGuardError, match=f"need {need}, "):
+        table.values(CHECK5)
+    assert fills == []
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
+    assert table.values(CHECK5).tobytes() == want.tobytes()
+    assert fills[0] == T
 
 
 def test_fourier_table_lattice_past_band_raises():
