@@ -30,6 +30,14 @@ class BeurlingConstructionError(Exception):
 # the psi_hat table is zero-padded to _PAD times its length before the DCT
 _PAD = 4
 
+# the one family built: B's series cut at _CUTOFF terms, psi_hat on
+# |x| <= _X_MAX at spacing 1 / _INV_H, phi on |t| <= _T_MAX.  The series
+# holds for |x| <= _CUTOFF / 2, which must cover B's reach, _X_MAX + 1.5
+_CUTOFF = 10**4
+_X_MAX = 200.0
+_INV_H = 1024
+_T_MAX = 4.0
+
 
 def _b_on_grid(i_lo: int, i_hi: int, inv_h: int, cutoff: int) -> np.ndarray:
     """Beurling's B at y = i / inv_h for every integer i in [i_lo, i_hi].
@@ -114,32 +122,17 @@ class BeurlingSelberg:
         return float(out) if np.ndim(x) == 0 else out
 
 
-def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
-                           spacing: float = 2.0**-10,
-                           t_max: float = 4.0) -> BeurlingSelberg:
+def build_beurling_selberg() -> BeurlingSelberg:
     """Tabulate the majorant family and verify its defining inequalities.
 
     Raises BeurlingConstructionError naming the violated property if any
     check fails; the margins of the passing checks are kept on the result.
     """
-    if series_cutoff < 10**3:
-        raise ValueError("series_cutoff below 1e3 cannot meet the margins")
-    if x_max < 50:
-        raise ValueError("x_max must be at least 50")
-    inv_h = int(round(1.0 / spacing))
-    if inv_h < 256 or abs(inv_h * spacing - 1.0) > 1e-12:
-        raise ValueError("spacing must be 1/inv_h for an integer inv_h >= 256")
-    xi = int(round(x_max * inv_h))
-    if abs(xi - x_max * inv_h) > 1e-9:
-        raise ValueError("x_max must sit on the evaluation grid")
-    if x_max + 1.5 > series_cutoff / 2:
-        raise ValueError("x_max exceeds the certified band of the B "
-                         "series, |x| <= series_cutoff / 2")
-
-    master = _b_on_grid(inv_h - xi, inv_h + xi, inv_h, series_cutoff)
+    xi = int(_X_MAX * _INV_H)
+    master = _b_on_grid(_INV_H - xi, _INV_H + xi, _INV_H, _CUTOFF)
     psi_half = 0.5 * (master[:xi + 1][::-1] + master[xi:])
     del master
-    x_half = np.arange(xi + 1) / inv_h
+    x_half = np.arange(xi + 1) / _INV_H
 
     margins: dict[str, float] = {}
 
@@ -150,11 +143,11 @@ def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
                 f"{name}: margin {margin:.3e} below floor {floor:.1e}")
 
     demand("psi_hat_at_0_eq_1", -abs(psi_half[0] - 1.0), -1e-12)
-    demand("psi_hat_at_1_eq_1", -abs(psi_half[inv_h] - 1.0), -1e-12)
+    demand("psi_hat_at_1_eq_1", -abs(psi_half[_INV_H] - 1.0), -1e-12)
     demand("psi_hat_nonneg", float(psi_half.min()), -1e-9)
-    demand("psi_hat_core_ge_1", float(psi_half[:inv_h + 1].min() - 1.0), -1e-9)
+    demand("psi_hat_core_ge_1", float(psi_half[:_INV_H + 1].min() - 1.0), -1e-9)
 
-    # transform: trapezoid equals a type-1 DCT here; zero-padding past x_max
+    # transform: trapezoid equals a type-1 DCT here; zero-padding past _X_MAX
     # refines the t grid at the price of the (already tiny) tail of psi_hat.
     # Every step works in place and each spent array is dropped: the DCT's
     # own workspace is most of this function's peak
@@ -162,9 +155,9 @@ def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
     padded[:xi + 1] = psi_half
     spectrum = dct(padded, type=1, overwrite_x=True)
     del padded
-    spectrum *= spacing
-    dt = 1.0 / (2.0 * _PAD * x_max)
-    k_keep = int(round(t_max / dt)) + 1
+    spectrum *= 1.0 / _INV_H
+    dt = 1.0 / (2.0 * _PAD * _X_MAX)
+    k_keep = int(round(_T_MAX / dt)) + 1
     t_grid = np.arange(k_keep) * dt
     psi_plus = spectrum[:k_keep].copy()
     out_band = spectrum[int(math.floor(1.0 / dt)) + 1:]
@@ -183,8 +176,8 @@ def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
     F *= F
     conv = irfft(F, nfft, overwrite_x=True)[:L]
     del F
-    conv *= spacing
-    conv_x = (np.arange(L) - (L - 1) // 2) / inv_h
+    conv *= 1.0 / _INV_H
+    conv_x = (np.arange(L) - (L - 1) // 2) / _INV_H
     demand("phi_hat_nonneg", float(conv.min()), -1e-9)
     # conv - max(0, 2 - |x|), built in one array
     tent = np.abs(conv_x)
@@ -195,8 +188,8 @@ def build_beurling_selberg(series_cutoff: int = 10**4, x_max: float = 200.0,
     demand("phi_hat_at_0_ge_2", float(conv[(L - 1) // 2] - 2.0), -1e-6)
 
     return BeurlingSelberg(
-        series_cutoff=series_cutoff, x_max=float(x_max), spacing=spacing,
-        t_max=float(t_max), margins=margins,
+        series_cutoff=_CUTOFF, x_max=_X_MAX, spacing=1.0 / _INV_H,
+        t_max=_T_MAX, margins=margins,
         _x_half=x_half, _psi_half=psi_half,
         _t_grid=t_grid, _psi_plus=psi_plus, _phi_vals=phi_vals,
         _conv_x=conv_x, _conv_vals=conv,

@@ -163,14 +163,16 @@ def _direct_abs2(spec: SequenceSpec, h: TestKernel, js: np.ndarray) -> np.ndarra
 _SPREAD = 16
 _OVERSAMPLE = 2
 _BETA = math.pi * (_OVERSAMPLE - 0.5) / (_OVERSAMPLE * _SPREAD)
+_NUFFT_CHUNK = _CHUNK // (2 * _SPREAD)  # nodes whose cells fill _CHUNK
 
 # peak bytes of _nufft_abs2 under tracemalloc: a grid cell's float64 and
 # its share of the transform (16), a j's deconvolution and transform rows
-# (40), and a node's phases and its 2 * _SPREAD spreading weights and cells
-# (at most 866)
+# (40), a node's weight, power and phase parts (48), and a node of the
+# chunk being spread (790 in a whole chunk)
 _NUFFT_BYTES_PER_CELL = 16
 _NUFFT_BYTES_PER_J = 40
-_NUFFT_BYTES_PER_NODE = 880
+_NUFFT_BYTES_PER_NODE = 64
+_NUFFT_BYTES_PER_SPREAD = 800
 
 
 def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
@@ -190,8 +192,8 @@ def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
     M is the least power of two >= _OVERSAMPLE * (2 j_max + 2), and at
     least 64: below 8 (j_max + 1) past that floor.  Each grid holds M
     float64 and its transform M/2 + 1 complex128, so each takes about
-    8M < 64 (j_max + 1) bytes.  The byte guard counts the grids, the rows
-    in j and the spreading tables before any of them is built.
+    8M < 64 (j_max + 1) bytes, one grid after the other.  The byte guard
+    counts the grids, the rows in j, the nodes and one chunk first.
     """
     y_lo, y_hi = _index_bounds(spec, h)
     nodes = y_hi - y_lo + 1
@@ -199,27 +201,38 @@ def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
         return np.zeros(j_max)
     M = max(64, 1 << (_OVERSAMPLE * (2 * j_max + 2) - 1).bit_length())
     _pool.guard(M * _NUFFT_BYTES_PER_CELL + j_max * _NUFFT_BYTES_PER_J
-                + nodes * _NUFFT_BYTES_PER_NODE,
+                + nodes * _NUFFT_BYTES_PER_NODE
+                + min(nodes, _NUFFT_CHUNK) * _NUFFT_BYTES_PER_SPREAD,
                 f"bytes for a {M}-cell NUFFT of {nodes} nodes")
     w, powers = _h_window(spec, h)
     x = as_ld(spec.alpha) * powers
     # 0 < x < 2**63, so truncation is floor and the remainder is exact
-    r = x - x.astype(np.int64)
-    hi = r.astype(np.float64)
-    lo = (r - hi).astype(np.float64)
-    p = hi * M
-    cell = np.floor(p)
-    d = np.arange(1 - _SPREAD, _SPREAD + 1)
-    kern = np.exp(-_BETA * (d - (p - cell)[:, None]) ** 2)
-    cells = ((cell.astype(np.int64)[:, None] + d) & (M - 1)).ravel()
+    x -= x.astype(np.int64)
+    hi = x.astype(np.float64)
+    lo = (x - hi).astype(np.float64)
+    del x
     js = np.arange(1, j_max + 1)
     # the Gaussian's Fourier transform at j / M, divided out
     deconv = math.sqrt(_BETA / math.pi) * np.exp(
         (math.pi ** 2 / _BETA) * (js / M) ** 2)
+    d = np.arange(1 - _SPREAD, _SPREAD + 1)
+
+    def spread(s):
+        # in node order, as one bincount over every node would add them
+        grid = np.zeros(M)
+        for i in range(0, nodes, _NUFFT_CHUNK):
+            p = hi[i:i + _NUFFT_CHUNK] * M
+            cell = np.floor(p)
+            kern = np.exp(-_BETA * (d - (p - cell)[:, None]) ** 2)
+            kern *= s[i:i + _NUFFT_CHUNK, None]
+            cells = (cell.astype(np.int64)[:, None] + d) & (M - 1)
+            # flat indices take np.add.at's fast path
+            np.add.at(grid, cells.ravel(), kern.ravel())
+            del kern, cells  # before the next chunk's are built
+        return grid
+
     # rfft gives conj(E_j) on a real grid, which leaves |E_j| as it is
-    Fw, Flo = (rfft(np.bincount(cells, weights=(s[:, None] * kern).ravel(),
-                                minlength=M))[1:j_max + 1] * deconv
-               for s in (w, w * lo))
+    Fw, Flo = (rfft(spread(s))[1:j_max + 1] * deconv for s in (w, w * lo))
     E = Fw - (2j * math.pi) * js * Flo
     return E.real ** 2 + E.imag ** 2
 

@@ -29,6 +29,9 @@ class DegenerateKernelError(KernelError):
 
 _GL_ORDER = 16
 _GL_X, _GL_W = leggauss(_GL_ORDER)
+# Gauss-Legendre nodes per unit of support in integrate and in every
+# Fourier grid (which may take more panels for its frequency band)
+_NODES_PER_UNIT = 4096
 
 
 def _gl_grid(lo: float, hi: float, panels: int):
@@ -124,10 +127,9 @@ def make_bump(lo: float = -1.0, hi: float = 1.0) -> TestKernel:
     return TestKernel(lo, hi, profile, whole_array=True)
 
 
-def integrate(kernel: TestKernel, weight: Callable | None = None,
-              nodes_per_unit: int = 4096) -> float:
+def integrate(kernel: TestKernel, weight: Callable | None = None) -> float:
     """Integral of kernel(x) * weight(x) over the support."""
-    panels = max(1, math.ceil(kernel.width * nodes_per_unit / _GL_ORDER))
+    panels = max(1, math.ceil(kernel.width * _NODES_PER_UNIT / _GL_ORDER))
     nodes, wts = _gl_grid(kernel.support_lo, kernel.support_hi, panels)
     vals = kernel(nodes)
     if weight is not None:
@@ -135,23 +137,21 @@ def integrate(kernel: TestKernel, weight: Callable | None = None,
     return float(np.dot(vals, wts))
 
 
-def normalize_rho(kernel: TestKernel, nodes_per_unit: int = 4096) -> TestKernel:
+def normalize_rho(kernel: TestKernel) -> TestKernel:
     """Rescale a density on (0, inf) so that int k(x)/x dx = 1."""
     if kernel.support_lo <= 0.0:
         raise DegenerateKernelError("1/x weight needs support inside (0, inf)")
-    mass = integrate(kernel, weight=lambda x: 1.0 / x,
-                     nodes_per_unit=nodes_per_unit)
+    mass = integrate(kernel, weight=lambda x: 1.0 / x)
     if not math.isfinite(mass) or mass <= 0.0:
         raise DegenerateKernelError(f"multiplicative mass {mass!r} not positive")
     return kernel.scaled(1.0 / mass)
 
 
-def _transform_grid(kernel: TestKernel, max_abs_freq: float,
-                    nodes_per_unit: int):
+def _transform_grid(kernel: TestKernel, max_abs_freq: float):
     # one oscillation period per panel keeps 16-node Gauss-Legendre far below
     # 1e-12 relative error at the largest frequency
     panels = max(
-        math.ceil(kernel.width * nodes_per_unit / _GL_ORDER),
+        math.ceil(kernel.width * _NODES_PER_UNIT / _GL_ORDER),
         math.ceil(kernel.width * max_abs_freq),
         1,
     )
@@ -159,11 +159,11 @@ def _transform_grid(kernel: TestKernel, max_abs_freq: float,
     return nodes, kernel(nodes) * wts
 
 
-def fourier(kernel: TestKernel, x, nodes_per_unit: int = 4096):
+def fourier(kernel: TestKernel, x):
     """Fourier transform int kernel(y) e(-x y) dy at frequency/ies x."""
     xs = np.asarray(x, dtype=np.float64)
     fmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    out = FourierTable(kernel, fmax, nodes_per_unit).values(xs)
+    out = FourierTable(kernel, fmax).values(xs)
     if np.ndim(x) == 0:
         return complex(out)
     return out
@@ -200,15 +200,16 @@ class FourierTable:
     one buffer of _ROWS rows.
     """
 
-    def __init__(self, kernel: TestKernel, max_abs_freq: float = 64.0,
-                 nodes_per_unit: int = 4096):
+    def __init__(self, kernel: TestKernel, max_abs_freq: float):
         self.kernel = kernel
         self.max_abs_freq = float(max_abs_freq)
-        self._nodes, self._wvals = _transform_grid(kernel, self.max_abs_freq,
-                                                   nodes_per_unit)
+        if not math.isfinite(self.max_abs_freq):
+            raise ValueError(f"frequency band {max_abs_freq} is not finite")
+        self._nodes, self._wvals = _transform_grid(kernel, self.max_abs_freq)
 
     def _check(self, fmax: float):
-        if fmax > self.max_abs_freq * (1 + 1e-12):
+        # written so that a NaN frequency fails it too
+        if not fmax <= self.max_abs_freq * (1 + 1e-12):
             raise ValueError(
                 f"frequency {fmax} outside the table band "
                 f"[-{self.max_abs_freq}, {self.max_abs_freq}]")

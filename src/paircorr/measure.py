@@ -34,6 +34,8 @@ _FIRST_ROUND = 64
 # so no block sets the peak memory; blocks of 2**15 pairs raised the
 # mc-variance peak from 128 to 131 MB (2-vCPU x86).
 _BLOCK_PAIRS = 1 << 13
+# quadrature panels per oscillation period of osc_integral_single's phase
+_NODE_FACTOR = 8
 # peak bytes a panel of 16 quadrature nodes holds in osc_integral_single: 64
 # a node for the grid, the amplitude and the phases (64.0 under tracemalloc)
 _BYTES_PER_PANEL = 16 * 64
@@ -133,15 +135,14 @@ def _stationary_scale(theta: float, N: int, j: int, m) -> np.ndarray:
     return (theta * float(j) / np.asarray(m, dtype=np.float64)) ** Theta / N
 
 
-def _osc_panels(lo: float, hi: float, freq: float, node_factor: int = 8):
-    panels = max(16, int(np.ceil(node_factor * abs(freq) * (hi - lo))))
+def _osc_panels(lo: float, hi: float, freq: float):
+    panels = max(16, int(np.ceil(_NODE_FACTOR * abs(freq) * (hi - lo))))
     _pool.guard(panels * _BYTES_PER_PANEL, f"bytes for {panels} panels")
     return _gl_grid(lo, hi, panels)
 
 
 def osc_integral_single(N: int, j: int, m: int, n: int, mu: MuMeasure,
-                        h: TestKernel | None = None,
-                        node_factor: int = 8) -> complex:
+                        h: TestKernel | None = None) -> complex:
     """One off-diagonal pair term averaged over the dilate.
 
         I = int alpha^Theta h(x_m/N) h(x_n/N)
@@ -166,8 +167,7 @@ def osc_integral_single(N: int, j: int, m: int, n: int, mu: MuMeasure,
     z = float(_pow_ld(np.array([m]), 1.0 - Theta)[0]
               - _pow_ld(np.array([n]), 1.0 - Theta)[0])
     freq = c2 * float(j) ** Theta * z
-    nodes, wts = _osc_panels(mu.rho.support_lo, mu.rho.support_hi, freq,
-                             node_factor)
+    nodes, wts = _osc_panels(mu.rho.support_lo, mu.rho.support_hi, freq)
     amp = mu.rho(nodes) * h(nodes * xm) * h(nodes * xn)
     return complex(np.dot(amp * wts, np.exp(2j * np.pi * freq * nodes)))
 

@@ -23,6 +23,9 @@ _BYTES_PER_POINT = 8 + 16 + 8 + 8
 # neighbours each sorted point is compared with before a binary search
 _SWEEP = 8
 
+# right edge of the gap histogram, in units of the mean gap
+_S_MAX = 4.0
+
 # (key, read-only powers): the one table kept, so that dilates swept over a
 # fixed (theta, window) share their n**theta
 _table: tuple | None = None
@@ -62,13 +65,6 @@ class PointSet:
     @property
     def size(self) -> int:
         return int(self.points.size)
-
-    @property
-    def window(self) -> str:
-        if self.theta is None:
-            return f"iid uniform, n in [{self.n_lo}, {self.n_hi}]"
-        tag = " minus squares" if self.exclude_squares else ""
-        return f"n in [{self.n_lo}, {self.n_hi}]{tag}"
 
 
 def _powers(theta: float, n_lo: int, n_hi: int,
@@ -240,29 +236,26 @@ class GapHistogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def gap_distribution(ps: PointSet, bins: int = 80,
-                     s_max: float = 4.0) -> GapHistogram:
-    """Circular gaps rescaled by the point count, binned on [0, s_max].
+def gap_distribution(ps: PointSet, bins: int = 80) -> GapHistogram:
+    """Circular gaps rescaled by the point count, binned on [0, _S_MAX].
 
     density integrates (with the overflow) to 1: sum(density)*bin_width
     + overflow_count/n = 1.  overflow_mass is the fraction of the circle
-    covered by gaps beyond s_max.
+    covered by gaps beyond _S_MAX.
     """
     M = ps.size
     if M < 2:
         raise ValueError("need at least two points for gaps")
     if bins < 1:
         raise ValueError("bins must be a positive integer")
-    if not (math.isfinite(s_max) and s_max > 0.0):
-        raise ValueError("s_max must be finite and positive")
     vs = ps.sorted_points
     gaps = np.diff(vs, append=vs[0] + 1.0) * M
-    edges = np.linspace(0.0, s_max, bins + 1)
-    bin_width = s_max / bins
+    edges = np.linspace(0.0, _S_MAX, bins + 1)
+    bin_width = _S_MAX / bins
     # equal bins given by count and range: numpy places each gap by
     # arithmetic against these same edges, where an edge array would sort
     # the gaps first
-    counts, _ = np.histogram(gaps, bins=bins, range=(0.0, s_max))
+    counts, _ = np.histogram(gaps, bins=bins, range=(0.0, _S_MAX))
     over = gaps >= edges[-1]
     return GapHistogram(
         edges=edges,

@@ -30,7 +30,8 @@ from paircorr._precision import LD, _pow_ld, as_ld, csum, frac
 from paircorr.beurling import BeurlingSelberg
 from paircorr.diophantine import DioInstance, ZMultiset, _products, build_zset
 from paircorr.expsums import SequenceSpec, _band, _windows, bprocess_constants
-from paircorr.kernels import FourierTable, default_h, integrate
+from paircorr.kernels import (_GL_ORDER, FourierTable, _gl_grid, default_h,
+                              integrate)
 from paircorr.measure import MuMeasure, _osc_panels, _stationary_scale
 
 
@@ -129,8 +130,7 @@ def moments_per_sample(N, mu, samples, h, js, f_values=None):
     return np.array(rows)
 
 
-def osc_integral_vec(N, j1, j2, m1, n1, m2, n2, mu, h=None,
-                     node_factor=8) -> complex:
+def osc_integral_vec(N, j1, j2, m1, n1, m2, n2, mu, h=None) -> complex:
     """Averaged quadruple term: two pair phases beating against each other.
 
     The frequency is c2 (j1^Theta z1 - j2^Theta z2); the two big products
@@ -154,8 +154,7 @@ def osc_integral_vec(N, j1, j2, m1, n1, m2, n2, mu, h=None,
               _stationary_scale(theta, N, j1, n1),
               _stationary_scale(theta, N, j2, m2),
               _stationary_scale(theta, N, j2, n2)]
-    nodes, wts = _osc_panels(mu.rho.support_lo, mu.rho.support_hi, freq,
-                             node_factor)
+    nodes, wts = _osc_panels(mu.rho.support_lo, mu.rho.support_hi, freq)
     amp = nodes * mu.rho(nodes)
     for s in scales:
         amp = amp * h(nodes * s)
@@ -315,8 +314,11 @@ def cdf_alpha(mu: MuMeasure, alpha):
     return float(out) if np.ndim(alpha) == 0 else out
 
 
-def quad(mu: MuMeasure, g, nodes_per_unit: int = 8192) -> float:
-    """Quadrature expectation int g(alpha) dmu(alpha), in beta variables."""
-    inv = 1.0 / mu.Theta
-    return integrate(mu.rho, nodes_per_unit=nodes_per_unit,
-                     weight=lambda b: np.asarray(g(b ** inv)) / b)
+def quad(mu: MuMeasure, g) -> float:
+    """Quadrature expectation int g(alpha) dmu(alpha), in beta variables,
+    by composite Gauss-Legendre at 8192 nodes per unit of rho's support."""
+    rho = mu.rho
+    panels = max(1, math.ceil(rho.width * 8192 / _GL_ORDER))
+    nodes, wts = _gl_grid(rho.support_lo, rho.support_hi, panels)
+    vals = rho(nodes) * (np.asarray(g(nodes ** (1.0 / mu.Theta))) / nodes)
+    return float(np.dot(vals, wts))

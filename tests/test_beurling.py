@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from paircorr.beurling import _b_on_grid, build_beurling_selberg
+from paircorr import beurling
+from paircorr.beurling import _b_on_grid
 
 from oracles import beurling_B
 
@@ -37,13 +38,15 @@ def test_B_argument_band_guard():
         beurling_B(1.0, 0)
 
 
-def test_builder_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        build_beurling_selberg(series_cutoff=100)
-    with pytest.raises(ValueError):
-        build_beurling_selberg(x_max=10.0)
-    with pytest.raises(ValueError):
-        build_beurling_selberg(spacing=1.0 / 100.0)
+def test_builder_constants_stay_in_the_certified_band():
+    # psi_hat reads B up to _X_MAX + 1, inside the series' band
+    # |x| <= _CUTOFF / 2; the table's edge sits on the grid; and the grid,
+    # series and table are large enough to meet the build's margins
+    assert beurling._X_MAX + 1.5 <= beurling._CUTOFF / 2
+    assert float(beurling._X_MAX * beurling._INV_H).is_integer()
+    assert beurling._INV_H >= 256
+    assert beurling._CUTOFF >= 10**3
+    assert beurling._X_MAX >= 50
 
 
 def test_psi_hat_majorizes_interval_indicator(bs):

@@ -160,11 +160,15 @@ def test_nufft_abs2_matches_the_direct_sums(h, theta):
 
 
 def _nufft_need(spec, h, j_max):
-    """_nufft_abs2's byte count: its grid cells, its j and its nodes."""
+    """_nufft_abs2's byte count: its grid cells, its j, its nodes and the
+    nodes of one spreading chunk."""
     M = max(64, 1 << (expsums._OVERSAMPLE * (2 * j_max + 2) - 1).bit_length())
+    nodes = _index_range(spec, h).size
     return (M * expsums._NUFFT_BYTES_PER_CELL
             + j_max * expsums._NUFFT_BYTES_PER_J
-            + _index_range(spec, h).size * expsums._NUFFT_BYTES_PER_NODE)
+            + nodes * expsums._NUFFT_BYTES_PER_NODE
+            + min(nodes, expsums._NUFFT_CHUNK)
+            * expsums._NUFFT_BYTES_PER_SPREAD)
 
 
 @pytest.mark.parametrize("N, j_max", [(17, 7), (512, 64 * 512),
@@ -203,6 +207,18 @@ def test_nufft_abs2_past_the_memory_budget_is_refused_unbuilt(h,
     monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
     assert _nufft_abs2(spec, h, 64 * 512).tobytes() == want.tobytes()
     assert calls == [512]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_nufft_abs2_bytes_do_not_depend_on_the_chunk(h, monkeypatch, chunk):
+    # np.add.at adds each chunk's nodes in node order, so any chunk gives
+    # the sums of one bincount over every node
+    for N in (17, 2048):
+        spec = SequenceSpec(0.5, 1.37, N)
+        want = _nufft_abs2(spec, h, 300)
+        with monkeypatch.context() as m:
+            m.setattr(expsums, "_NUFFT_CHUNK", chunk)
+            assert _nufft_abs2(spec, h, 300).tobytes() == want.tobytes()
 
 
 def test_nufft_abs2_against_mpmath_past_1e8_phases(h):

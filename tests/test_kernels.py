@@ -149,12 +149,13 @@ def test_fourier_against_high_resolution_trapezoid():
         assert abs(fourier(f, x) - oracle) < 1e-8
 
 
-def test_fourier_random_frequencies_vs_doubled_resolution():
+def test_fourier_random_frequencies_vs_doubled_resolution(monkeypatch):
     f = default_f()
     rng = np.random.default_rng(1)
     xs = rng.uniform(-30.0, 30.0, size=100)
     a = fourier(f, xs)
-    b = fourier(f, xs, nodes_per_unit=8192)
+    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", 8192)
+    b = fourier(f, xs)
     assert np.max(np.abs(a - b)) < 1e-8 * (np.max(np.abs(a)) + 1.0)
 
 
@@ -169,6 +170,19 @@ def test_fourier_table_matches_direct_and_guards_band():
         table.values(16.5)
     with pytest.raises(ValueError):
         table.values(np.array([0.0, 17.0]))
+
+
+def test_fourier_refuses_non_finite_frequencies():
+    # a NaN fails every comparison, so the band check is written to catch it,
+    # and a non-finite band is refused before a grid is sized for it
+    f = default_f()
+    with pytest.raises(ValueError, match="outside the table band"):
+        FourierTable(f, 4.0).values([0.0, math.nan])
+    for x in (math.inf, [0.0, math.nan], [-math.inf, 1.0]):
+        with pytest.raises(ValueError, match="not finite"):
+            fourier(f, x)
+    with pytest.raises(ValueError, match="not finite"):
+        FourierTable(f, math.nan)
 
 
 def _dense_oracle(table, xs):
@@ -191,10 +205,11 @@ def _dense_oracle(table, xs):
     (0.3 + np.arange(777) * 0.0123, 1024, True),    # offset from 0
     (np.random.default_rng(4).uniform(-10.0, 10.0, 500), 1024, False),
 ])
-def test_fourier_table_matches_dense_oracle(xs, nodes_per_unit, lattice):
+def test_fourier_table_matches_dense_oracle(monkeypatch, xs, nodes_per_unit,
+                                            lattice):
     assert xs.size <= 4096
-    table = FourierTable(default_f(), float(np.max(np.abs(xs))),
-                         nodes_per_unit)
+    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", nodes_per_unit)
+    table = FourierTable(default_f(), float(np.max(np.abs(xs))))
     if lattice:
         # every lattice must take the factored product, not the dense path
         table._dense = None
@@ -216,8 +231,8 @@ STREAMED = [
 @pytest.mark.parametrize("block, rows", [(1, 4), (1, None), (None, 8)])
 def test_fourier_table_bytes_do_not_depend_on_the_blocks(
         monkeypatch, xs, nodes_per_unit, block, rows):
-    table = FourierTable(default_f(), float(np.max(np.abs(xs))),
-                         nodes_per_unit)
+    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", nodes_per_unit)
+    table = FourierTable(default_f(), float(np.max(np.abs(xs))))
     want = table.values(xs)
     # one row of exponentials per block, and products of 4 or 8 rows: a
     # multiple of the rows a zgemm kernel takes at once
@@ -241,9 +256,10 @@ def _one_shot_lattice(table, xs):
 
 @pytest.mark.parametrize("xs, nodes_per_unit",
                          [(CHECK5, 4096)] + STREAMED[:4])
-def test_fourier_table_lattice_is_the_one_shot_product(xs, nodes_per_unit):
-    table = FourierTable(default_f(), float(np.max(np.abs(xs))),
-                         nodes_per_unit)
+def test_fourier_table_lattice_is_the_one_shot_product(monkeypatch, xs,
+                                                       nodes_per_unit):
+    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", nodes_per_unit)
+    table = FourierTable(default_f(), float(np.max(np.abs(xs))))
     assert table.values(xs).tobytes() == \
         _one_shot_lattice(table, xs).tobytes()
 
@@ -264,8 +280,9 @@ def test_fourier_table_check5_peak_is_the_fine_table_and_a_few_blocks():
     assert T * K * 16 < peak < T * K * 16 + 8 * 2 ** 20
 
 
-def test_fourier_table_without_dense_path_takes_lattices_only():
-    table = FourierTable(default_f(), 16.0, 1024)
+def test_fourier_table_without_dense_path_takes_lattices_only(monkeypatch):
+    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", 1024)
+    table = FourierTable(default_f(), 16.0)
     lattice = np.arange(-64, 65) / 8.0
     want = table.values(lattice)
     table._dense = None
@@ -297,8 +314,9 @@ def test_fourier_table_guard_refuses_the_fine_table_unbuilt(monkeypatch):
     assert fills[0] == T
 
 
-def test_fourier_table_lattice_past_band_raises():
-    table = FourierTable(default_f(), max_abs_freq=4.0, nodes_per_unit=1024)
+def test_fourier_table_lattice_past_band_raises(monkeypatch):
+    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", 1024)
+    table = FourierTable(default_f(), max_abs_freq=4.0)
     with pytest.raises(ValueError):
         table.values(np.arange(0, 66) / 16.0)
     with pytest.raises(ValueError):
