@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, irfft, next_fast_len, rfft
 
 
 class BeurlingConstructionError(Exception):
@@ -127,7 +126,11 @@ def build_beurling_selberg() -> BeurlingSelberg:
 
     Raises BeurlingConstructionError naming the violated property if any
     check fails; the margins of the passing checks are kept on the result.
+    scipy.fft is imported on the first call, so that a run which builds no
+    majorant does not pay its 130 ms load.
     """
+    from scipy.fft import dct, irfft, next_fast_len, rfft
+
     xi = int(_X_MAX * _INV_H)
     master = _b_on_grid(_INV_H - xi, _INV_H + xi, _INV_H, _CUTOFF)
     psi_half = 0.5 * (master[:xi + 1][::-1] + master[xi:])

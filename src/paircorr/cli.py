@@ -384,11 +384,24 @@ _EXPERIMENTS = {
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set so far, in MB (2**20 bytes); None
+    where the platform has no resource module (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment and write report.json plus a CSV next to it.
 
     Returns the report dict; the timestamp field is the only part that
-    varies between identically-configured runs.
+    varies between identically-configured runs.  It holds the start time,
+    the wall time and the process's peak RSS when the rows were done.
     """
     config.validate()
     if _precision.LD_NMANT < 63:
@@ -420,6 +433,7 @@ def run(config: ExperimentConfig) -> dict:
             "started": datetime.datetime.now(datetime.timezone.utc)
             .isoformat(),
             "wall_seconds": time.time() - t0,
+            "peak_rss_mb": _peak_rss_mb(),
         },
     }
     out = Path(config.output_dir)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft
 
 from . import _pool
 from ._pool import _CHUNK, _thread_workers, pmap
@@ -204,6 +203,10 @@ def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
                 + nodes * _NUFFT_BYTES_PER_NODE
                 + min(nodes, _NUFFT_CHUNK) * _NUFFT_BYTES_PER_SPREAD,
                 f"bytes for a {M}-cell NUFFT of {nodes} nodes")
+    # imported past the guard, on the first transform: only this function
+    # and the Beurling build need scipy.fft, which takes 130 ms to load
+    from scipy.fft import rfft
+
     w, powers = _h_window(spec, h)
     x = as_ld(spec.alpha) * powers
     # 0 < x < 2**63, so truncation is floor and the remainder is exact

@@ -204,6 +204,14 @@ def pair_corr_count_concat(points, s) -> int:
     return 2 * int((hi - np.arange(M) - 1).sum())
 
 
+def circular_gaps(points) -> np.ndarray:
+    """Gaps between sorted points on the circle, the last one wrapping
+    round, rescaled by the point count: by np.diff on the sorted points
+    with the first one shifted by 1 appended."""
+    vs = np.sort(points)
+    return np.diff(vs, append=vs[0] + 1.0) * vs.size
+
+
 def beurling_B(x, cutoff: int = 10**4):
     """Beurling's majorant of sgn, as a truncated sum-of-squares series.
 

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -385,6 +386,18 @@ def test_report_records_long_double_bits(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert (report["versions"]["longdouble_nmant"]
             == np.finfo(np.longdouble).nmant)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is read in KiB on Linux")
+def test_report_records_peak_rss(tmp_path, monkeypatch):
+    assert main(["gaps", "--N", "64", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    # an interpreter with numpy loaded holds tens of MB: a value read in
+    # the wrong unit falls far outside this range
+    assert 10.0 < report["timestamp"]["peak_rss_mb"] < 1e5
+    monkeypatch.setitem(sys.modules, "resource", None)
+    assert cli._peak_rss_mb() is None
 
 
 _JSON = st.recursive(

@@ -2,6 +2,10 @@
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import paircorr
@@ -79,3 +83,34 @@ def test_the_unused_import_check_sees_a_leftover():
               "    return fourier(f, 1.0)\n")
     assert _unused_imports(source) == ["FourierTable (line 2)",
                                        "_pool (line 1)"]
+
+
+# six experiments at small sizes, then bs-check: only the last may load
+# scipy.fft, which takes two thirds of the package's start-up
+_FRESH_RUNS = textwrap.dedent("""
+    import sys
+    import paircorr
+    from paircorr import cli
+    runs = [("gaps", {"N_list": [4096]}), ("paircorr", {"N_list": [4096]}),
+            ("bprocess", {"N_list": [100]}),
+            ("moments", {"N_list": [512], "samples": 100}),
+            ("roff-variance", {"N_list": [64, 128], "samples": 100}),
+            ("dio", {})]
+    for experiment, fields in runs + [("bs-check", {})]:
+        cli.run(cli.ExperimentConfig(experiment=experiment,
+                                     output_dir=sys.argv[1] + experiment,
+                                     **fields))
+        assert ("scipy.fft" in sys.modules) == (experiment == "bs-check"), \
+            experiment
+    """)
+
+
+def test_only_the_transforms_load_scipy_fft(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]]
+                                 if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _FRESH_RUNS, f"{tmp_path}/"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

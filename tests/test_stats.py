@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_corr_count_concat
+from oracles import circular_gaps, pair_corr_count_concat
 from paircorr import _pool, stats
+from paircorr._pool import ResourceGuardError
 from paircorr._precision import _pow_ld, as_ld, frac
 from paircorr.stats import (PointSet, fractional_parts, gap_distribution,
                             pair_corr_count, uniform_points)
@@ -345,9 +347,97 @@ def test_gap_counts_match_the_edge_array_histogram():
                       (np.random.default_rng(2).random(3000), 7)):
         ps = PointSet(None, None, 1, pts.size, False, pts)
         gh = gap_distribution(ps, bins=bins)
-        vs = np.sort(pts)
-        gaps = np.diff(vs, append=vs[0] + 1.0) * pts.size
+        gaps = circular_gaps(pts)
         assert np.array_equal(gh.counts, np.histogram(gaps, gh.edges)[0])
+
+
+def _gap_sets():
+    """Point sets of every kind gap_distribution meets: powers, uniform
+    draws, a dyadic spike and a set whose gaps tie at 0."""
+    spike = (np.arange(256) / 256.0 + 0.125) % 1.0
+    ties = np.repeat(np.random.default_rng(3).random(500), 3)
+    return ([fractional_parts(theta, 1.37, 1, 10**5)
+             for theta in (0.3, 0.5, 0.7)]
+            + [fractional_parts(0.5, 1.0, 1, 10**4, exclude_squares=True),
+               uniform_points(10**5, seed=5)]
+            + [PointSet(None, None, 1, p.size, False, p)
+               for p in (spike, ties)])
+
+
+def test_gaps_are_the_np_diff_gaps_bit_for_bit(monkeypatch):
+    binned = []
+    histogram = np.histogram
+
+    def spy(a, *args, **kwargs):
+        binned.append(a.copy())
+        return histogram(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "histogram", spy)
+    for ps in _gap_sets():
+        gh = gap_distribution(ps, bins=80)
+        want = circular_gaps(ps.points)
+        got = binned.pop()
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        over = want >= 4.0
+        assert gh.overflow_count == int(over.sum())
+        assert gh.overflow_mass == float(want[over].sum() / ps.size)
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+def test_gap_byte_count_covers_its_measured_peak(overflow):
+    M = 4 * 10**5
+    if overflow:
+        # a quarter of the points equally spaced, the rest in one cluster:
+        # about one gap in five lies past the histogram's edge
+        k = M // 4
+        pts = np.concatenate([np.arange(k) / k, np.full(M - k, 0.5 / k)])
+        ps = PointSet(None, None, 1, M, False, pts)
+    else:
+        ps = uniform_points(M, seed=6)
+    ps.sorted_points
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gh = gap_distribution(ps, bins=80)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (gh.overflow_count > M // 10) == overflow
+    # 4 MB for numpy's histogram blocks, whose size does not grow with M
+    assert peak <= M * stats._BYTES_PER_GAP + 2 ** 22
+
+
+def _refused_unbuilt(monkeypatch, need, build):
+    """build() raises at a budget of need - 1 before allocating its
+    arrays, and returns at a budget of need."""
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match=f"need {need}, "):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
+    return build()
+
+
+def test_uniform_points_past_the_memory_budget_are_refused_undrawn(
+        monkeypatch):
+    n = 10**6
+    ps = _refused_unbuilt(monkeypatch, n * stats._BYTES_PER_UNIFORM,
+                          lambda: uniform_points(n, seed=7))
+    assert np.array_equal(ps.points, np.random.default_rng(7).random(n))
+
+
+def test_gaps_past_the_memory_budget_are_refused_unbuilt(monkeypatch):
+    M = 10**6
+    ps = PointSet(None, None, 1, M, False, np.random.default_rng(8).random(M))
+    gh = _refused_unbuilt(monkeypatch, M * stats._BYTES_PER_GAP,
+                          lambda: gap_distribution(ps, bins=80))
+    assert gh.n_points == M
 
 
 def test_gap_sum_is_one():
