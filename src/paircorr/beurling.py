@@ -89,7 +89,6 @@ class BeurlingSelberg:
 
     series_cutoff: int
     x_max: float
-    spacing: float
     t_max: float
     margins: dict = field(repr=False)
     _x_half: np.ndarray = field(repr=False)
@@ -191,8 +190,7 @@ def build_beurling_selberg() -> BeurlingSelberg:
     demand("phi_hat_at_0_ge_2", float(conv[(L - 1) // 2] - 2.0), -1e-6)
 
     return BeurlingSelberg(
-        series_cutoff=_CUTOFF, x_max=_X_MAX, spacing=1.0 / _INV_H,
-        t_max=_T_MAX, margins=margins,
+        series_cutoff=_CUTOFF, x_max=_X_MAX, t_max=_T_MAX, margins=margins,
         _x_half=x_half, _psi_half=psi_half,
         _t_grid=t_grid, _psi_plus=psi_plus, _phi_vals=phi_vals,
         _conv_x=conv_x, _conv_vals=conv,

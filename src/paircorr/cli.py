@@ -266,9 +266,7 @@ def _run_bprocess(cfg: ExperimentConfig) -> list[dict]:
             j = int(rng.integers(int(math.ceil(N ** 0.6)),
                                  max(int(N ** 1.1), int(N ** 0.6) + 2)))
             spec = SequenceSpec(cfg.theta, alpha, N)
-            pair = exp_sum_pair(spec, h, j)
-            const = (abs(pair.direct - pair.short) * math.sqrt(j)
-                     / N ** (1.0 - cfg.theta / 2.0))
+            const = exp_sum_pair(spec, h, j).ratio
             rows.append(_row(
                 "expsums.exp_sum_pair", cfg.seed,
                 {"theta": cfg.theta, "alpha": alpha, "N": N, "j": j},

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import _pool
+from ._precision import e_frac
 
 
 class KernelError(Exception):
@@ -29,8 +30,8 @@ class DegenerateKernelError(KernelError):
 
 _GL_ORDER = 16
 _GL_X, _GL_W = leggauss(_GL_ORDER)
-# Gauss-Legendre nodes per unit of support in integrate and in every
-# Fourier grid (which may take more panels for its frequency band)
+# nodes per unit of support in integrate's Gauss-Legendre rule and in the
+# Fourier transform's trapezoid rule (which may take more for its band)
 _NODES_PER_UNIT = 4096
 
 
@@ -147,132 +148,91 @@ def normalize_rho(kernel: TestKernel) -> TestKernel:
     return kernel.scaled(1.0 / mass)
 
 
-def _transform_grid(kernel: TestKernel, max_abs_freq: float):
-    # one oscillation period per panel keeps 16-node Gauss-Legendre far below
-    # 1e-12 relative error at the largest frequency
-    panels = max(
-        math.ceil(kernel.width * _NODES_PER_UNIT / _GL_ORDER),
-        math.ceil(kernel.width * max_abs_freq),
-        1,
-    )
-    nodes, wts = _gl_grid(kernel.support_lo, kernel.support_hi, panels)
-    return nodes, kernel(nodes) * wts
-
-
 def fourier(kernel: TestKernel, x):
     """Fourier transform int kernel(y) e(-x y) dy at frequency/ies x."""
     xs = np.asarray(x, dtype=np.float64)
-    fmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    out = FourierTable(kernel, fmax).values(xs)
-    if np.ndim(x) == 0:
-        return complex(out)
-    return out
+    out = FourierTable(kernel, np.max(np.abs(xs), initial=0.0)).values(xs)
+    return complex(out) if np.ndim(x) == 0 else out
 
 
-# complex entries per block of phases (512 kB): the exponentials are taken
-# a block at a time, so their temporaries stay small.  Elementwise, so no
-# output depends on it
+# complex entries per block of the direct sum's phases (512 kB); each
+# output is its own row's sum, so none depends on it
 _BLOCK = 2 ** 15
-
-# rows of each matrix product: 32 coarse rows (4 MB at 8192 nodes) per
-# zgemm, or 32 dense rows per zgemv.  A zgemm sums each output over the
-# nodes in an order set by the group of rows its kernel takes it in (4 on
-# x86-64 OpenBLAS); blocks that start at multiples of 32 keep every row in
-# the group it has in one whole product, and so keep its bits
-_ROWS = 32
-
-# the fine table has at most _FINE // nodes rows (about 64 MB).  The split
-# of a lattice into fine and coarse rows, and so every output's bits,
-# depend on it
-_FINE = 4_000_000
 
 
 class FourierTable:
-    """Transform values of one kernel from a fixed quadrature grid.
-
-    The grid is sized at construction for frequencies up to ``max_abs_freq``;
-    asking beyond that band raises instead of silently losing accuracy.
-    On an arithmetic lattice x0 + i*step the phases factor as
-    e(-t*step*y) * e(-(x0 + b*T*step)*y) with i = b*T + t, so one fine and
-    one coarse table of about sqrt(n) rows each and a matrix product replace
-    the n-by-nodes exponentials; any other input is a direct matrix product.
-    Only the fine table is held whole: coarse and dense rows stream through
-    one buffer of _ROWS rows.
+    """Transform values of one kernel by the trapezoid rule: nodes k / P
+    strictly inside the support, weights f(k/P) / P, spectrally accurate as
+    the kernel vanishes with every derivative at its ends.  P is
+    _NODES_PER_UNIT, doubled while below 16 times ``max_abs_freq`` or while
+    the support holds under 512 nodes (a bump on 40 nodes errs by 3e-6);
+    asking beyond the band raises.  On a lattice j / N, with L = N P,
+    Bluestein's jk = (j^2 + k^2 - (j - k)^2) / 2 makes the sum one FFT
+    convolution of chirps e(-m^2 / (2L)), m^2 mod 2L exact in int64; any
+    other input is summed directly.
     """
 
     def __init__(self, kernel: TestKernel, max_abs_freq: float):
-        self.kernel = kernel
         self.max_abs_freq = float(max_abs_freq)
         if not math.isfinite(self.max_abs_freq):
             raise ValueError(f"frequency band {max_abs_freq} is not finite")
-        self._nodes, self._wvals = _transform_grid(kernel, self.max_abs_freq)
+        P = _NODES_PER_UNIT
+        while P < 16 * self.max_abs_freq or P * kernel.width < 512:
+            P *= 2
+        self._P, self._k0 = P, math.floor(kernel.support_lo * P) + 1
+        self._nodes = np.arange(self._k0, math.ceil(kernel.support_hi * P)) / P
+        self._wvals = kernel(self._nodes) / P
 
-    def _check(self, fmax: float):
-        # written so that a NaN frequency fails it too
-        if not fmax <= self.max_abs_freq * (1 + 1e-12):
-            raise ValueError(
-                f"frequency {fmax} outside the table band "
-                f"[-{self.max_abs_freq}, {self.max_abs_freq}]")
-
-    def _fill(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out[i, k] = e(-xs[i] * node_k), in row blocks of about _BLOCK
-        entries."""
-        rows = max(1, _BLOCK // self._nodes.size)
-        for i in range(0, xs.size, rows):
-            blk = out[i:i + rows]
-            np.multiply(-2j * np.pi, np.outer(xs[i:i + rows], self._nodes),
-                        out=blk)
-            np.exp(blk, out=blk)
-        return out
-
-    def _streamed(self, xs: np.ndarray):
-        """(i, the phase rows of xs[i:j]) over blocks of _ROWS rows, all in
-        one reused buffer.  The last block takes a lone trailing row: a
-        product of one row is a zgemv or zdotu, whose sums over the nodes
-        run in another order than zgemm's."""
-        stops = [*range(_ROWS, xs.size - 1, _ROWS), xs.size]
-        buf = np.empty((min(_ROWS + 1, xs.size), self._nodes.size),
-                       dtype=np.complex128)
-        i = 0
-        for j in stops:
-            yield i, self._fill(xs[i:j], buf[:j - i])
-            i = j
-
-    def _dense(self, xs: np.ndarray) -> np.ndarray:
+    def _direct(self, xs: np.ndarray) -> np.ndarray:
         out = np.empty(xs.size, dtype=np.complex128)
-        for i, phases in self._streamed(xs):
-            out[i:i + len(phases)] = phases @ self._wvals
+        rows = max(1, _BLOCK // self._nodes.size)
+        phase = -2j * np.pi * self._nodes
+        for i in range(0, xs.size, rows):
+            blk = np.exp(np.multiply.outer(xs[i:i + rows], phase))
+            out[i:i + rows] = (blk * self._wvals).sum(axis=1)
         return out
 
-    def _lattice(self, x0: float, step: float, n: int) -> np.ndarray:
-        K = self._nodes.size
-        T = min(math.isqrt(n - 1) + 1, max(1, _FINE // K))
-        _pool.guard((T + _ROWS + 1) * K * 16,
-                    f"bytes for a {T} x {K} fine phase table")
-        fine = self._fill(step * np.arange(T),
-                          np.empty((T, K), dtype=np.complex128))
-        starts = x0 + step * (T * np.arange(-(-n // T)))
-        out = np.empty((starts.size, T), dtype=np.complex128)
-        for b, coarse in self._streamed(starts):
-            coarse *= self._wvals
-            out[b:b + len(coarse)] = (fine @ coarse.T).T
-        return out.ravel()[:n]
+    def _bluestein(self, j0: int, N: int, n: int) -> np.ndarray:
+        """Values at j / N for j0 <= j < j0 + n by one FFT convolution."""
+        K, k0, L2 = self._nodes.size, self._k0, 2 * N * self._P
+        # a bound on every chirp index j, k and j - k
+        top = max(abs(j0), abs(j0 + n - 1)) + max(abs(k0), abs(k0 + K - 1))
+        if max(top * top, L2) >= 2 ** 63:
+            raise ValueError(f"lattice j/{N} too wide for int64 chirps")
+        M = 1 << (n + K - 2).bit_length()  # zero-padded length >= n + K - 1
+        # bounds the peak under tracemalloc: two M-point spectra, and 72
+        # bytes a chirp point (its m, its turns, e_frac's temporaries)
+        _pool.guard(32 * M + 72 * (n + K - 1),
+                    f"bytes for a {M}-point Fourier convolution")
+
+        def chirp(m: np.ndarray) -> np.ndarray:  # e((m^2 mod 2L) / (2L))
+            return e_frac(m * m % L2 / L2)
+
+        # over the nodes k, the differences j - k, and the outputs j
+        conv = np.fft.fft(chirp(np.arange(k0, k0 + K)).conj() * self._wvals, M)
+        conv *= np.fft.fft(chirp(np.arange(j0 - k0 - K + 1, j0 + n - k0)), M)
+        np.fft.ifft(conv, out=conv)
+        return chirp(np.arange(j0, j0 + n)).conj() * conv[K - 1:K - 1 + n]
 
     def values(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         flat = xs.ravel()
+        fmax = float(np.max(np.abs(flat), initial=0.0))
+        if not fmax <= self.max_abs_freq * (1 + 1e-12):  # NaN fails too
+            raise ValueError(
+                f"frequency {fmax} outside the table band "
+                f"[-{self.max_abs_freq}, {self.max_abs_freq}]")
         n = flat.size
-        if n == 0:
-            return np.empty(xs.shape, dtype=np.complex128)
-        scale = float(np.max(np.abs(flat)))
-        self._check(scale)
-        if n >= 2:
-            x0 = float(flat[0])
-            step = (float(flat[-1]) - x0) / (n - 1)
-            drift = np.max(np.abs(flat - (x0 + step * np.arange(n))))
-            if drift <= 8.0 * np.finfo(np.float64).eps * scale:
-                return self._lattice(x0, step, n).reshape(xs.shape)
-        return self._dense(flat).reshape(xs.shape)
+        if n >= 2 and flat[-1] > flat[0]:
+            # the form np.arange(j0, j0 + n) / N, bitwise, for an integer N;
+            # the bound keeps round() and the int64 arange from overflowing
+            ratio = (n - 1) / (flat[-1] - flat[0])
+            if ratio >= 1.0 and max(-flat[0], flat[-1]) * ratio < 2.0 ** 62:
+                N = round(ratio)
+                j0 = round(flat[0] * N)
+                if np.array_equal(np.arange(j0, j0 + n) / N, flat):
+                    return self._bluestein(j0, N, n).reshape(xs.shape)
+        return self._direct(flat).reshape(xs.shape)
 
 
 def periodize(kernel: TestKernel, N: int, x):

@@ -3,11 +3,13 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from paircorr import _pool, kernels
 from paircorr._pool import ResourceGuardError
+from paircorr._precision import e_frac
 from paircorr.expsums import _band
 from paircorr.kernels import (DegenerateKernelError, FourierTable, KernelError,
                               TestKernel, default_f, default_h, default_rho,
@@ -185,89 +187,119 @@ def test_fourier_refuses_non_finite_frequencies():
         FourierTable(f, math.nan)
 
 
-def _dense_oracle(table, xs):
-    """The table's Gauss-Legendre rule as one explicit phase product."""
-    xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty(xs.size, dtype=np.complex128)
-    for i in range(0, xs.size, 256):
-        phases = np.exp(-2j * np.pi * np.outer(xs[i:i + 256], table._nodes))
-        out[i:i + 256] = phases @ table._wvals
-    return out
+def _fourier_mp(lo: float, hi: float, x: mpmath.mpf) -> complex:
+    """int of the (lo, hi) bump times e(-x y), by 30-digit quadrature over
+    panels of about half a period."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+
+    def g(y):
+        u = (2 * y - lo - hi) / (hi - lo)
+        return mpmath.exp(-1 / (1 - u * u)) * mpmath.expjpi(-2 * x * y)
+
+    panels = max(8, 2 * int(abs(x) * (hi - lo)) + 2)
+    with mpmath.workdps(30):
+        return complex(mpmath.quad(g, mpmath.linspace(lo, hi, panels)))
 
 
-@pytest.mark.parametrize("xs, nodes_per_unit, lattice", [
-    (np.arange(1, 64 * 64 + 1) / 64, 4096, True),   # j / N, j <= 64 N
-    (_band(2 ** 12, 0.05) / 2 ** 12, 4096, True),
-    (np.arange(300, -1, -1) / 16.0, 1024, True),    # descending
-    (np.arange(1, 1001) / 32.0, 1024, True),        # 1000 rows, T = 32
-    (np.array([2.5]), 1024, False),
-    (np.array([-3.0, 7.25]), 1024, True),
-    (0.3 + np.arange(777) * 0.0123, 1024, True),    # offset from 0
-    (np.random.default_rng(4).uniform(-10.0, 10.0, 500), 1024, False),
-])
-def test_fourier_table_matches_dense_oracle(monkeypatch, xs, nodes_per_unit,
-                                            lattice):
-    assert xs.size <= 4096
-    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", nodes_per_unit)
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (1.0, 2.0), (0.1, 0.35),
+                                    (-0.05, 0.05), (0.0, 1e-4)])
+def test_fourier_within_1e15_of_mpmath(lo, hi):
+    # check 5's lattice j / 512, j < 64 * 512, and single values by the
+    # direct sum; the support of 1e-4 holds 512 nodes only as P grows
+    f = default_f() if lo == -1.0 else make_bump(lo, hi)
+    N, js = 512, [0, 1, 700, 5000, 32767]
+    lattice = fourier(f, np.arange(64 * N) / N)[js]
+    for j, value in zip(js, lattice):
+        want = _fourier_mp(lo, hi, mpmath.mpf(j) / N)
+        assert abs(value - want) < 1e-15
+        assert abs(fourier(f, j / N) - want) < 1e-15
+
+
+def _spy_paths(monkeypatch, table):
+    """The names of the table's paths, appended as each one runs."""
+    taken = []
+    for name in ("_bluestein", "_direct"):
+        def spy(*args, _name=name, _fn=getattr(table, name)):
+            taken.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(table, name, spy)
+    return taken
+
+
+LATTICES = [
+    np.arange(1, 64 * 512 + 1) / 512,               # check 5
+    _band(2 ** 12, 0.05) / 2 ** 12,
+    np.arange(-64, 65) / 8,                         # negative j0
+    np.arange(-300, -100) / 16,                     # every j negative
+    np.arange(-5, 1000) / 3,                        # 1/3 is not a double
+    np.arange(-3, 5) / 1,
+    np.array([0.5, 0.75]),
+]
+NOT_LATTICES = [
+    np.arange(300, -1, -1) / 16,                    # descending
+    0.3 + np.arange(777) * 0.0123,                  # offset from j / N
+    np.linspace(-16.0, 16.0, 101),                  # step 8/25
+    np.nextafter(np.arange(1, 1001) / 32, 0.0),     # one ulp below j / 32
+    np.random.default_rng(4).uniform(-10.0, 10.0, 500),
+    np.array([-3.0, 7.25]),
+    np.array([2.5]),
+]
+
+
+@pytest.mark.parametrize("xs", LATTICES)
+def test_fourier_table_lattice_path_matches_the_direct_sum(monkeypatch, xs):
     table = FourierTable(default_f(), float(np.max(np.abs(xs))))
-    if lattice:
-        # every lattice must take the factored product, not the dense path
-        table._dense = None
-    assert np.max(np.abs(table.values(xs) - _dense_oracle(table, xs))) < 1e-14
+    taken = _spy_paths(monkeypatch, table)
+    got = table.values(xs)
+    assert taken == ["_bluestein"]
+    # about 300 of the values, as check 5's direct sum takes seconds
+    some = slice(None, None, -(-xs.size // 300))
+    assert np.max(np.abs(got[some] - table._direct(xs[some]))) < 1e-15
+
+
+@pytest.mark.parametrize("xs", NOT_LATTICES)
+def test_fourier_table_other_inputs_take_the_direct_sum(monkeypatch, xs):
+    table = FourierTable(default_f(), float(np.max(np.abs(xs))))
+    taken = _spy_paths(monkeypatch, table)
+    table.values(xs)
+    assert taken == ["_direct"]
 
 
 # check 5's frequencies j / 512, j <= 64 * 512
 CHECK5 = np.arange(1, 64 * 512 + 1) / 512
-STREAMED = [
-    (np.arange(300, -1, -1) / 16.0, 1024),          # descending lattice
-    (np.arange(1, 1001) / 32.0, 1024),              # ascending, T = 32
-    (0.3 + np.arange(5000) * 0.0123, 1024),         # offset, 71 coarse rows
-    (_band(2 ** 14, 0.05) / 2 ** 14, 4096),         # 129 coarse rows
-    (np.random.default_rng(5).uniform(-9.0, 9.0, 997), 1024),   # dense
-]
 
 
-@pytest.mark.parametrize("xs, nodes_per_unit", STREAMED)
-@pytest.mark.parametrize("block, rows", [(1, 4), (1, None), (None, 8)])
-def test_fourier_table_bytes_do_not_depend_on_the_blocks(
-        monkeypatch, xs, nodes_per_unit, block, rows):
-    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", nodes_per_unit)
-    table = FourierTable(default_f(), float(np.max(np.abs(xs))))
-    want = table.values(xs)
-    # one row of exponentials per block, and products of 4 or 8 rows: a
-    # multiple of the rows a zgemm kernel takes at once
-    if block is not None:
-        monkeypatch.setattr(kernels, "_BLOCK", block)
-    if rows is not None:
-        monkeypatch.setattr(kernels, "_ROWS", rows)
-    assert table.values(xs).tobytes() == want.tobytes()
-
-
-def _one_shot_lattice(table, xs):
-    """The factored lattice product in one zgemm: fine @ (coarse * w).T."""
-    n, K = xs.size, table._nodes.size
-    step = (xs[-1] - xs[0]) / (n - 1)
-    T = min(math.isqrt(n - 1) + 1, kernels._FINE // K)
-    starts = xs[0] + step * (T * np.arange(-(-n // T)))
-    fine = np.exp(-2j * np.pi * np.outer(step * np.arange(T), table._nodes))
-    coarse = np.exp(-2j * np.pi * np.outer(starts, table._nodes))
-    return (fine @ (coarse * table._wvals).T).T.ravel()[:n]
-
-
-@pytest.mark.parametrize("xs, nodes_per_unit",
-                         [(CHECK5, 4096)] + STREAMED[:4])
-def test_fourier_table_lattice_is_the_one_shot_product(monkeypatch, xs,
-                                                       nodes_per_unit):
-    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", nodes_per_unit)
-    table = FourierTable(default_f(), float(np.max(np.abs(xs))))
-    assert table.values(xs).tobytes() == \
-        _one_shot_lattice(table, xs).tobytes()
-
-
-def test_fourier_table_check5_peak_is_the_fine_table_and_a_few_blocks():
-    table = FourierTable(default_f(), 64.0)
+def _convolution_bytes(table, n):
+    """The bytes the lattice path's guard counts for n values."""
     K = table._nodes.size
-    T = math.isqrt(CHECK5.size - 1) + 1
+    M = 1 << (n + K - 2).bit_length()
+    return 32 * M + 72 * (n + K - 1)
+
+
+def test_fourier_table_guard_refuses_before_allocating(monkeypatch):
+    table = FourierTable(default_f(), 64.0)
+    want = table.values(CHECK5)
+    need = _convolution_bytes(table, CHECK5.size)
+    chirps = []
+
+    def spy(fr):
+        chirps.append(np.size(fr))
+        return e_frac(fr)
+
+    # the chirps are the convolution's first arrays
+    monkeypatch.setattr(kernels, "e_frac", spy)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+    with pytest.raises(ResourceGuardError, match=f"need {need}, "):
+        table.values(CHECK5)
+    assert chirps == []
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
+    assert table.values(CHECK5).tobytes() == want.tobytes()
+    assert len(chirps) == 3
+
+
+def test_fourier_table_check5_peak_is_within_its_guard():
+    table = FourierTable(default_f(), 64.0)
+    need = _convolution_bytes(table, CHECK5.size)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -275,43 +307,20 @@ def test_fourier_table_check5_peak_is_the_fine_table_and_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # 23.9 MB of fine table (182 x 8192); the coarse buffer, one block of
-    # exponentials and the output take about 5.3 MB more
-    assert T * K * 16 < peak < T * K * 16 + 8 * 2 ** 20
+    # 4.0 MB of 5.05 MB counted: one 65,536-point spectrum and the
+    # temporaries of the widest chirp, 40,958 points
+    assert peak <= need < 6 * 2 ** 20
 
 
-def test_fourier_table_without_dense_path_takes_lattices_only(monkeypatch):
-    monkeypatch.setattr(kernels, "_NODES_PER_UNIT", 1024)
-    table = FourierTable(default_f(), 16.0)
-    lattice = np.arange(-64, 65) / 8.0
-    want = table.values(lattice)
-    table._dense = None
-    assert table.values(lattice).tobytes() == want.tobytes()
-    with pytest.raises(TypeError):
-        table.values(np.array([0.5, 1.0, 3.0]))
-
-
-def test_fourier_table_guard_refuses_the_fine_table_unbuilt(monkeypatch):
-    table = FourierTable(default_f(), 64.0)
-    want = table.values(CHECK5)
-    K = table._nodes.size
-    T = math.isqrt(CHECK5.size - 1) + 1
-    need = (T + kernels._ROWS + 1) * K * 16
-    fills = []
-    fill = table._fill
-
-    def spy(xs, out):
-        fills.append(xs.size)
-        return fill(xs, out)
-
-    monkeypatch.setattr(table, "_fill", spy)
-    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
-    with pytest.raises(ResourceGuardError, match=f"need {need}, "):
-        table.values(CHECK5)
-    assert fills == []
-    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
-    assert table.values(CHECK5).tobytes() == want.tobytes()
-    assert fills[0] == T
+def test_fourier_table_refuses_lattices_past_int64_chirps(monkeypatch):
+    # j near 3 * 2**30 squares past 2**63; j near 2**30 does not
+    N = 2 ** 20
+    table = FourierTable(default_f(), 3 * 2 ** 10 + 1.0)
+    with pytest.raises(ValueError, match="int64 chirps"):
+        table.values(np.arange(3 * 2 ** 30, 3 * 2 ** 30 + 1000) / N)
+    taken = _spy_paths(monkeypatch, table)
+    far = table.values(np.arange(2 ** 30, 2 ** 30 + 1000) / N)
+    assert taken == ["_bluestein"] and np.max(np.abs(far)) < 1e-15
 
 
 def test_fourier_table_lattice_past_band_raises(monkeypatch):
