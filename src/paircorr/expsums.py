@@ -261,33 +261,26 @@ def _windows(spec, js: np.ndarray):
     return lo, hi, lens
 
 
-def _flatten_windows(lo, lens):
-    """Concatenate the integer windows [lo_j, lo_j + len_j) end to end."""
-    total = int(lens.sum())
-    rep = np.repeat(np.arange(len(lo)), lens)
-    starts = np.concatenate(([0], np.cumsum(lens)))[:-1]
-    m = (np.arange(total) - np.repeat(starts, lens)) + np.repeat(lo, lens)
-    return rep, m
-
-
 def _short_terms(spec, h: TestKernel, js: np.ndarray, windows=None,
                  start: int = 0, stop: int | None = None):
     """The stationary-phase terms of the (dilate, j) pairs start..stop-1 of
-    spec over js (all of them by default), in one table.
+    spec over js (all of them by default), as a window x pair rectangle.
 
     spec is a SequenceSpec or a DilateBlock; pair p is the (dilate, j) pair
     (alphas[p // J], js[p % J]) with J = len(js), and windows, when given,
-    are _windows(spec, js).  Term k belongs to pair start + rep[k] and to
-    one m of that pair's window; over its terms,
-    E~_j = c1 (alpha*j)**(Theta/2) * sum_k amp_k e(ph_k), with
+    are _windows(spec, js).  Cell (l, q) is the term m = lo + l of pair
+    start + q, for l below the pair's window length; the rectangle has as
+    many rows as the longest window, and a cell past its pair's window has
+    amplitude 0.  Over its column a pair reads
+    E~_j = c1 (alpha*j)**(Theta/2) * sum_l amp_l e(ph_l), with
     amp = m**(-(Theta+1)/2) h(x_m/N) and ph the reduced phase.
-    Shared tables: c2 * A with A = (alpha*j)**Theta per pair, and
-    B_m = m**(1-Theta) (long double) and m**(-(Theta+1)/2) (float64) per m
-    in the union of the range's windows; the phase of a term is (c2 * A) * B_m and
-    its m-weight is a gather, so neither takes a per-term power.  Every
-    term is computed elementwise, so a pair's terms have the same bits in
-    any range of pairs as alone.
-    Returns (rep, amp, ph, windows), the windows of every pair.
+    Shared tables: c2 * A with A = (alpha*j)**Theta per pair, broadcast
+    down its column, and B_m = m**(1-Theta) (long double) and
+    m**(-(Theta+1)/2) (float64) per m in the union of the range's windows,
+    taken by one 2-d index; the phase of a term is (c2 * A) * B_m, so no
+    cell takes a power but its x_m.  Every cell is computed elementwise, so
+    a pair's terms have the same bits in any range of pairs as alone.
+    Returns (amp, ph).
     """
     TH = spec.Theta
     th, N = spec.theta, spec.N
@@ -295,50 +288,89 @@ def _short_terms(spec, h: TestKernel, js: np.ndarray, windows=None,
         windows = _windows(spec, js)
     lo, _, lens = windows
     lo, lens = lo[start:stop], lens[start:stop]
-    if not lens.any():
-        return np.zeros(0, np.int64), np.zeros(0), np.zeros(0), windows
-    rep, m = _flatten_windows(lo, lens)
-    m_base = int(m.min())
-    dm = m - m_base
-    ms = np.arange(m_base, int(m.max()) + 1)
+    rows = int(lens.max(initial=0))
+    if rows == 0:
+        return np.zeros((0, lens.size)), np.zeros((0, lens.size))
+    live = lens > 0
+    m_base = int(lo[live].min())
+    # the m of the union of the windows, and one more: every cell past its
+    # window reads that last entry, whose amplitude is 0 and whose x_m and
+    # phase are finite
+    ms = np.arange(m_base, int((lo + lens)[live].max()) + 1)
     btab = _pow_ld(ms, 1.0 - TH)
-    ptab = ms.astype(np.float64) ** (-(TH + 1.0) / 2.0)
+    mtab = ms.astype(np.float64)
+    ptab = mtab ** (-(TH + 1.0) / 2.0)
+    ptab[-1] = 0.0
+    ls = np.arange(rows)[:, None]
+    idx = ls + (lo - m_base)
+    np.putmask(idx, ls >= lens, ms.size - 1)
     d, k = np.divmod(np.arange(start, start + lens.size), len(js))
     alphas, jp = spec.alphas[d], js[k]
     taj = (th * alphas) * jp.astype(np.float64)
-    xm = (taj[rep] / m.astype(np.float64)) ** TH
-    amp = ptab[dm] * h(xm / N)
+    xm = np.take(mtab, idx)
+    np.divide(taj, xm, out=xm)
+    xm **= TH
+    xm /= N
+    amp = np.take(ptab, idx)
+    amp *= h(xm)
     del xm  # before the long-double temporaries of the phase
     th_ld = LD(th)
     c2_ld = np.power(th_ld, LD(TH - 1.0)) - np.power(th_ld, LD(TH))
     ca_ld = c2_ld * np.power(as_ld(alphas) * as_ld(jp), LD(TH))
-    ph = frac(ca_ld[rep] * btab[dm])
-    return rep, amp, ph, windows
+    ph = np.take(btab, idx)
+    del idx
+    ph *= ca_ld
+    return amp, frac(ph)
+
+
+def _column_sums(cells: np.ndarray) -> np.ndarray:
+    """Each column's sum, added down the rows one at a time, the order in
+    which bincount adds a window's terms.  Over two or more columns
+    np.add.reduce adds row after row; over a lone column it would sum a
+    contiguous run of 8 or more pairwise, so accumulate takes that one."""
+    if cells.shape[1] == 1:
+        return np.add.accumulate(cells, axis=0)[-1]
+    return np.add.reduce(cells, axis=0)
 
 
 def _short_components(spec, h: TestKernel, js: np.ndarray):
     """Per-pair short-form data: |E~_j|^2 and its diagonal (n = m) part,
     one entry per (dilate, j) pair of spec, dilate-major.
 
-    The pairs run in chunks of about _CHUNK terms, cut at window
-    boundaries, so a chunk's term tables stay in cache.  A pair's terms
-    lie in one chunk and bincount adds them in the same order as over one
-    table, so the chunking moves no bit.
+    The pairs run in chunks of consecutive pairs whose _short_terms
+    rectangle (longest window times pairs, an empty window counted as one
+    row) holds at most _CHUNK cells, so a chunk's tables stay in cache; a
+    window longer than that is a chunk of its own.  Each pair's column is
+    summed in window order (_column_sums), as one bincount over a flat
+    table of the terms would add them, so neither the chunking nor the
+    padding moves a bit.  The column sums are ufunc loops, which release
+    the interpreter lock, so the calls of measure's pool threads overlap.
     """
     windows = _windows(spec, js)
     lens = windows[2]
     P = lens.size
-    ends = np.cumsum(lens)
-    cuts = np.searchsorted(ends, np.arange(_CHUNK, int(lens.sum()), _CHUNK))
-    bounds = np.unique(np.concatenate(([0], cuts + 1, [P]))).tolist()
+    cols = np.maximum(lens, 1)
+    ends = np.cumsum(cols)
     sr, si, dg = np.zeros(P), np.zeros(P), np.zeros(P)
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    a = 0
+    while a < P:
+        # a rectangle holds at least the sum of its columns, so it ends
+        # before the pair that takes that sum past _CHUNK (top)
+        top = int(np.searchsorted(ends, ends[a] - cols[a] + _CHUNK, "right"))
+        cells = (np.maximum.accumulate(cols[a:top])
+                 * np.arange(1, top - a + 1))
+        b = a + max(1, int(np.searchsorted(cells, _CHUNK, "right")))
         # e_frac is looked up at call time, as a wrapper may replace it
-        rep, amp, ph, _ = _short_terms(spec, h, js, windows, a, b)
-        e = e_frac(ph)
-        sr[a:b] = np.bincount(rep, weights=amp * e.real, minlength=b - a)
-        si[a:b] = np.bincount(rep, weights=amp * e.imag, minlength=b - a)
-        dg[a:b] = np.bincount(rep, weights=amp * amp, minlength=b - a)
+        amp, ph = _short_terms(spec, h, js, windows, a, b)
+        if amp.size:
+            e = e_frac(ph)
+            w = np.multiply(amp, e.real, out=ph)  # ph is spent
+            sr[a:b] = _column_sums(w)
+            np.multiply(amp, e.imag, out=w)
+            si[a:b] = _column_sums(w)
+            np.multiply(amp, amp, out=w)
+            dg[a:b] = _column_sums(w)
+        a = b
     aj = np.multiply.outer(spec.alphas, js.astype(np.float64)).ravel()
     pref = abs(bprocess_constants(spec.theta).c1) ** 2 * aj ** spec.Theta
     return pref * (sr ** 2 + si ** 2), pref * dg, windows
@@ -346,9 +378,10 @@ def _short_components(spec, h: TestKernel, js: np.ndarray):
 
 def exp_sum_bprocess(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
     """Short (stationary-phase) form of E_j; 0 when the m-window is empty."""
-    _, amp, ph, _ = _short_terms(spec, h, _single(j))
+    amp, ph = _short_terms(spec, h, _single(j))
     c1 = bprocess_constants(spec.theta).c1
-    return c1 * (spec.alpha * j) ** (spec.Theta / 2.0) * csum(amp * e_frac(ph))
+    return (c1 * (spec.alpha * j) ** (spec.Theta / 2.0)
+            * csum(amp[:, 0] * e_frac(ph[:, 0])))
 
 
 @dataclass(frozen=True)

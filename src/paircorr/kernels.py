@@ -166,7 +166,8 @@ class FourierTable:
     the kernel vanishes with every derivative at its ends.  P is
     _NODES_PER_UNIT, doubled while below 16 times ``max_abs_freq`` or while
     the support holds under 512 nodes (a bump on 40 nodes errs by 3e-6);
-    asking beyond the band raises.  On a lattice j / N, with L = N P,
+    a byte guard refuses nodes past the memory budget before any is built,
+    and asking beyond the band raises.  On a lattice j / N, with L = N P,
     Bluestein's jk = (j^2 + k^2 - (j - k)^2) / 2 makes the sum one FFT
     convolution of chirps e(-m^2 / (2L)), m^2 mod 2L exact in int64; any
     other input is summed directly.
@@ -179,8 +180,13 @@ class FourierTable:
         P = _NODES_PER_UNIT
         while P < 16 * self.max_abs_freq or P * kernel.width < 512:
             P *= 2
-        self._P, self._k0 = P, math.floor(kernel.support_lo * P) + 1
-        self._nodes = np.arange(self._k0, math.ceil(kernel.support_hi * P)) / P
+        k0 = math.floor(kernel.support_lo * P) + 1
+        K = math.ceil(kernel.support_hi * P) - k0
+        # bounds the peak under tracemalloc, 24 to 25 bytes a node: its
+        # index, the node, the profile's temporaries and the weight
+        _pool.guard(32 * K, f"bytes for a {K}-node Fourier table")
+        self._P, self._k0 = P, k0
+        self._nodes = np.arange(k0, k0 + K) / P
         self._wvals = kernel(self._nodes) / P
 
     def _direct(self, xs: np.ndarray) -> np.ndarray:

@@ -30,9 +30,9 @@ class MeasureError(Exception):
 _FIRST_ROUND = 64
 # (dilate, j) pairs per block of dilates: a block of samples is one pool
 # job, and a sample whose band holds more pairs goes alone.
-# _short_components builds a block's terms in chunks of about _pool._CHUNK,
-# so no block sets the peak memory; blocks of 2**15 pairs raised the
-# mc-variance peak from 128 to 131 MB (2-vCPU x86).
+# _short_components builds a block's terms as window x pair rectangles of
+# at most _pool._CHUNK cells, so no block sets the peak memory; blocks of
+# 2**15 pairs raised the mc-variance peak from 128 to 131 MB (2-vCPU x86).
 _BLOCK_PAIRS = 1 << 13
 # quadrature panels per oscillation period of osc_integral_single's phase
 _NODE_FACTOR = 8

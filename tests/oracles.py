@@ -5,8 +5,10 @@ moments_per_sample build their phases and amplitudes themselves, never
 through expsums._short_terms, and take e(.) from numpy's exp rather than
 the library's e_frac, so a fault in that shared term table or in e_frac
 cannot cancel out of a comparison with them.  Only the m-windows and the
-j-band come from expsums.  The module is the home of every evaluation that
-only tests call:
+j-band come from expsums.  short_components_flat is the exception: it
+repeats the library's arithmetic term for term, e_frac included, and
+checks only the layout and summation order of expsums._short_components.
+The module is the home of every evaluation that only tests call:
 
 - beurling_B, Beurling's series summed term by term, which
   beurling._b_on_grid is checked against;
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paircorr._precision import LD, _pow_ld, as_ld, csum, frac
+from paircorr._precision import LD, _pow_ld, as_ld, csum, e_frac, frac
 from paircorr.beurling import BeurlingSelberg
 from paircorr.diophantine import DioInstance, ZMultiset, _products, build_zset
 from paircorr.expsums import SequenceSpec, _band, _windows, bprocess_constants
@@ -128,6 +130,47 @@ def moments_per_sample(N, mu, samples, h, js, f_values=None):
             off = math.fsum((f_values * (parts[:, 0] - parts[:, 1])).tolist())
             rows.append((2.0 / N ** 2 * off) ** 2)
     return np.array(rows)
+
+
+def short_components_flat(spec, h, js):
+    """(|E~_j|^2, diagonal part) per (dilate, j) pair of spec, dilate-major,
+    from one flat table of every term and np.bincount.
+
+    The terms are those of expsums._short_terms, computed by the same
+    operations in the same precision (e_frac, not numpy's exp), laid end to
+    end: term k belongs to pair rep[k], and bincount adds a pair's terms
+    in window order.  It checks the layout and the summation order of
+    _short_components' rectangle and column sums, to the bit, and nothing
+    of the formulas themselves, which r_off_pairs and _short_sum check.
+    """
+    TH = spec.Theta
+    th, N = spec.theta, spec.N
+    lo, _, lens = _windows(spec, js)
+    P = lens.size
+    sr, si, dg = np.zeros(P), np.zeros(P), np.zeros(P)
+    if lens.any():
+        rep = np.repeat(np.arange(P), lens)
+        starts = np.concatenate(([0], np.cumsum(lens)))[:-1]
+        m = ((np.arange(rep.size) - np.repeat(starts, lens))
+             + np.repeat(lo, lens))
+        ms = np.arange(int(m.min()), int(m.max()) + 1)
+        dm = m - ms[0]
+        btab = _pow_ld(ms, 1.0 - TH)
+        ptab = ms.astype(np.float64) ** (-(TH + 1.0) / 2.0)
+        d, k = np.divmod(np.arange(P), len(js))
+        alphas, jp = spec.alphas[d], js[k]
+        taj = (th * alphas) * jp.astype(np.float64)
+        amp = ptab[dm] * h((taj[rep] / m.astype(np.float64)) ** TH / N)
+        th_ld = LD(th)
+        c2_ld = np.power(th_ld, LD(TH - 1.0)) - np.power(th_ld, LD(TH))
+        ca_ld = c2_ld * np.power(as_ld(alphas) * as_ld(jp), LD(TH))
+        e = e_frac(frac(ca_ld[rep] * btab[dm]))
+        sr = np.bincount(rep, weights=amp * e.real, minlength=P)
+        si = np.bincount(rep, weights=amp * e.imag, minlength=P)
+        dg = np.bincount(rep, weights=amp * amp, minlength=P)
+    aj = np.multiply.outer(spec.alphas, js.astype(np.float64)).ravel()
+    pref = abs(bprocess_constants(th).c1) ** 2 * aj ** TH
+    return pref * (sr ** 2 + si ** 2), pref * dg
 
 
 def osc_integral_vec(N, j1, j2, m1, n1, m2, n2, mu, h=None) -> complex:

@@ -23,7 +23,8 @@ from paircorr.kernels import TestKernel, fourier, integrate, make_bump
 from paircorr.measure import MuMeasure
 from paircorr.stats import fractional_parts
 
-from oracles import diagonal_w_term, e, r_off_pairs, stationary_point
+from oracles import (diagonal_w_term, e, r_off_pairs, short_components_flat,
+                     stationary_point)
 
 
 def test_spec_validation():
@@ -580,8 +581,9 @@ def test_block_of_dilates_keeps_each_samples_bits(h, theta, N):
     J = len(js)
     block = DilateBlock(theta, alphas, N)
     abs2, diag, (lo, hi, lens) = _short_components(block, h, js)
-    rep, amp, ph, _ = _short_terms(block, h, js)
+    amp, ph = _short_terms(block, h, js)
     assert abs2.shape == diag.shape == lens.shape == (len(alphas) * J,)
+    assert amp.shape == ph.shape == (lens.max(), len(alphas) * J)
     assert (lens == 0).any() and (lens > 0).any()
     c1 = bprocess_constants(theta).c1
     for d, alpha in enumerate(alphas):
@@ -594,15 +596,18 @@ def test_block_of_dilates_keeps_each_samples_bits(h, theta, N):
         for k, j in enumerate(js.tolist()):
             p = d * J + k
             assert (one_lo[k], one_hi[k]) == (lo[p], hi[p])
-            mine = rep == p
-            _, one_amp, one_ph, _ = _short_terms(spec, h, np.array([j]))
-            assert amp[mine].tobytes() == one_amp.tobytes()
-            assert ph[mine].tobytes() == one_ph.tobytes()
+            # pair p's column: its window, then cells of amplitude 0
+            mine = slice(0, lens[p])
+            assert not amp[lens[p]:, p].any()
+            one_amp, one_ph = _short_terms(spec, h, np.array([j]))
+            assert one_amp.shape == (lens[p], 1)
+            assert amp[mine, p].tobytes() == one_amp[:, 0].tobytes()
+            assert ph[mine, p].tobytes() == one_ph[:, 0].tobytes()
             # e(.) from numpy's exp, not the library's e_frac
             pref = c1 * (spec.alpha * j) ** (spec.Theta / 2.0)
-            short = pref * csum(amp[mine] * e(ph[mine]))
+            short = pref * csum(amp[mine, p] * e(ph[mine, p]))
             assert (abs(short - exp_sum_bprocess(spec, h, j))
-                    <= 2e-15 * abs(pref) * np.abs(amp[mine]).sum())
+                    <= 2e-15 * abs(pref) * np.abs(amp[mine, p]).sum())
 
 
 def _short_cases():
@@ -619,6 +624,36 @@ def _short_cases():
             (mixed, np.unique(rng.integers(1, 2 ** 13, 300)))]
 
 
+def _lone_and_long_cases():
+    """(block, js) cases beside _short_cases(): a lone pair whose window of
+    8 or more terms makes a one-column rectangle, and windows longer than
+    _CHUNK (34,452 terms at j = 2**20), alone and between short ones."""
+    lone = DilateBlock(0.5, np.array([1.37]), 2 ** 10)
+    long = DilateBlock(0.7, np.array([2.0, 1.21]), 2 ** 10)
+    return [(lone, np.array([3000])),
+            (long, np.array([2 ** 20])),
+            (long, np.array([1, 5, 2 ** 20, 700, 2 ** 19]))]
+
+
+def test_short_components_match_the_flat_bincount_oracle(h):
+    # the rectangle's column sums against one flat table and bincount, to
+    # the bit, at theta 0.3, 0.5 and 0.7 and N up to 2**14
+    cases = _short_cases() + _lone_and_long_cases()
+    for theta in (0.3, 0.5, 0.7):
+        block = DilateBlock(theta, np.array([1.0, 1.61, 2.0]), 2 ** 14)
+        cases.append((block, _band(2 ** 14, 0.05)))
+    lone = long = empty = False
+    for block, js in cases:
+        abs2, diag, (_, _, lens) = _short_components(block, h, js)
+        want_abs2, want_diag = short_components_flat(block, h, js)
+        assert abs2.tobytes() == want_abs2.tobytes()
+        assert diag.tobytes() == want_diag.tobytes()
+        lone |= bool(lens.size == 1 and lens[0] >= 8)
+        long |= bool(lens.max() > _CHUNK)
+        empty |= bool((lens == 0).any())
+    assert lone and long and empty
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 2 ** 15])
 def test_short_components_bytes_do_not_depend_on_the_chunk(monkeypatch, h,
                                                            chunk):
@@ -626,11 +661,12 @@ def test_short_components_bytes_do_not_depend_on_the_chunk(monkeypatch, h,
     terms = expsums._short_terms
 
     def spy(spec, h, js, windows=None, start=0, stop=None):
-        ranges.append((start, stop))
-        return terms(spec, h, js, windows, start, stop)
+        out = terms(spec, h, js, windows, start, stop)
+        ranges.append((start, stop, out[0].shape))
+        return out
 
     chunks, empty, long = [], False, False
-    for block, js in _short_cases():
+    for block, js in _short_cases() + _lone_and_long_cases():
         monkeypatch.setattr(expsums, "_CHUNK", 2 ** 62)
         whole = _short_components(block, h, js)
         monkeypatch.setattr(expsums, "_CHUNK", chunk)
@@ -644,27 +680,51 @@ def test_short_components_bytes_do_not_depend_on_the_chunk(monkeypatch, h,
         empty |= bool((lens == 0).any())
         long |= bool(lens.max() > chunk)
         chunks.append(len(ranges))
-        # the ranges tile the pairs; a chunk's pairs but its last hold
-        # fewer than `chunk` terms
-        ends = [b for _, b in ranges]
-        assert [a for a, _ in ranges] == [0] + ends[:-1]
+        # the ranges tile the pairs; a rectangle, its longest window (one
+        # row at least) times its pairs, holds at most `chunk` cells
+        # unless it is one pair
+        ends = [b for _, b, _ in ranges]
+        assert [a for a, _, _ in ranges] == [0] + ends[:-1]
         assert ends[-1] == lens.size
-        for a, b in ranges:
-            assert lens[a:b - 1].sum() < chunk
+        for a, b, shape in ranges:
+            assert shape == (lens[a:b].max(), b - a)
+            assert max(1, shape[0]) * shape[1] <= chunk or b - a == 1
         # each pair equals its own single-pair run
         J = len(js)
         picks = np.unique(np.concatenate((
             np.linspace(0, lens.size - 1, 25).astype(int),
             [np.argmax(lens), np.argmin(lens)],
-            [b - 1 for _, b in ranges[:5]])))
+            [b - 1 for _, b, _ in ranges[:5]])))
         for p in picks.tolist():
             spec = SequenceSpec(block.theta, float(block.alphas[p // J]),
                                 block.N)
             one = _short_components(spec, h, js[p % J:p % J + 1])
             assert got[0][p:p + 1].tobytes() == one[0].tobytes()
             assert got[1][p:p + 1].tobytes() == one[1].tobytes()
-    assert empty and chunks[0] > 1
-    assert long or chunk == 2 ** 15  # windows longer than a chunk
+    assert empty and long and chunks[0] > 1
+
+
+# peak bytes of _short_components under tracemalloc: a cell of the largest
+# rectangle (about 100 while e_frac runs: the amplitudes, the phases and
+# e_frac's temporaries) and a (dilate, j) pair (about 57: the windows,
+# the chunk cuts and the sums)
+_SHORT_BYTES_PER_CELL = 112
+_SHORT_BYTES_PER_PAIR = 64
+
+
+def test_short_components_peak_is_a_chunk_of_cells(h):
+    block = DilateBlock(0.5, np.array([1.37]), 2 ** 14)
+    js = _band(2 ** 14, 0.05)
+    tracemalloc.start()
+    try:
+        _, _, (_, _, lens) = _short_components(block, h, js)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 4.0e5 terms in about 13 rectangles; the peak is 4.2 MB of 4.7 MB
+    assert lens.sum() > 12 * _CHUNK
+    assert (peak <= _SHORT_BYTES_PER_CELL * _CHUNK
+            + _SHORT_BYTES_PER_PAIR * lens.size)
 
 
 def test_block_of_dilates_validation():

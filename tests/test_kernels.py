@@ -297,6 +297,25 @@ def test_fourier_table_guard_refuses_before_allocating(monkeypatch):
     assert len(chirps) == 3
 
 
+def test_fourier_table_guard_refuses_a_band_before_its_nodes(monkeypatch):
+    # a band of 1e9 would take about 3.4e10 nodes; the guard refuses them
+    # before np.arange, and check 5's table of 8191 nodes still builds
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match="-node Fourier table"):
+            fourier(default_f(), 1e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    table = FourierTable(default_f(), 64.0)
+    assert table._nodes.size == 8191
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: 32 * 8191 - 1)
+    with pytest.raises(ResourceGuardError, match="need 262112, "):
+        FourierTable(default_f(), 64.0)
+
+
 def test_fourier_table_check5_peak_is_within_its_guard():
     table = FourierTable(default_f(), 64.0)
     need = _convolution_bytes(table, CHECK5.size)
