@@ -31,6 +31,10 @@ bits; the runner refuses to start when it is below 63.
 e(k / 1024) and a short series in the rest of the turn, in float64; it is
 closer to e(x) than ``exp(2j * pi * x)`` (2.5e-16 against 7.1e-16 absolute
 on 20,000 seeded arguments, against 30-digit mpmath).
+
+``exact_row_sums`` sums each row of a 2-d array exactly rounded, with the
+bits of ``math.fsum``, by exponent buckets in numpy loops that release the
+interpreter lock; ``csum`` is the complex sum built on it.
 """
 
 import math
@@ -41,6 +45,9 @@ LD = np.longdouble
 LD_NMANT = int(np.finfo(LD).nmant)
 TWO_PI = 2.0 * math.pi
 _TWO_63 = 2.0 ** 63
+# values in one bucket of exact_row_sums: 2**26 parts of at most 2**27 in
+# magnitude sum to at most 2**53, which float64 holds exactly
+_COLUMN_BLOCK = 1 << 26
 
 
 def as_ld(x):
@@ -175,9 +182,78 @@ def ifloor(x):
     return int(out) if out.ndim == 0 else out.astype(np.int64)
 
 
+def exact_row_sums(X) -> np.ndarray:
+    """The exactly rounded sum of each row of a finite 2-d float64 array:
+    the bits of math.fsum, with +0.0 for a zero sum.
+
+    Malcolm's exponent buckets, in numpy loops that release the interpreter
+    lock where math.fsum holds it for the whole row:
+
+    - np.frexp writes each value as M * 2**(e - 53), M = 2**53 mant an
+      integer of at most 53 bits, exactly;
+    - M splits into high = floor(M / 2**26) and low = M - 2**26 high, both
+      integers kept in float64 (no cast to int64 and back), and each part
+      goes through one np.bincount over (row, e) buckets.  A part is at
+      most 2**27 in magnitude, so a bucket of at most _COLUMN_BLOCK = 2**26
+      parts sums to an integer of at most 2**53, which float64 holds
+      exactly; a longer row is cut into column blocks of that length, each
+      with its own buckets;
+    - per row, the nonzero buckets (tens, not a row's length) combine into
+      one Python int T with the row's sum T * 2**(lo - 53), lo the least e
+      in the array;
+    - int true division rounds T / 2**(53 - lo) correctly, subnormals
+      included, and float(T << (lo - 53)) does so when lo >= 53.
+
+    The buckets take 16 bytes each: rows times column blocks times the
+    span of e over the array's nonzero values.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("exact_row_sums takes a 2-d array")
+    rows, cols = X.shape
+    out = np.zeros(rows)
+    if X.size == 0:
+        return out
+    if not np.isfinite(X).all():
+        raise ValueError("exact_row_sums takes finite values only")
+    # the exponents go straight to intp, bincount's index type
+    mant, e = np.frexp(X, out=(np.empty(X.shape), np.empty(X.shape, np.intp)))
+    nonzero = mant != 0
+    if not nonzero.any():
+        return out
+    # M / 2**26 = 2**27 mant: its floor and its exact rest, in place
+    mant *= 2.0 ** 27
+    high = np.floor(mant)
+    low = np.subtract(mant, high, out=mant)
+    low *= 2.0 ** 26
+    lo = int(e.min(where=nonzero, initial=1 << 20))
+    span = int(e.max(where=nonzero, initial=-(1 << 20))) - lo + 1
+    blocks = -(-cols // _COLUMN_BLOCK)
+    # bucket (row, column block, e - lo); a zero, whose e is 0, adds 0 to
+    # a bucket of its row that the clip picks
+    key = np.subtract(e, lo, out=e)
+    np.clip(key, 0, span - 1, out=key)
+    key += (np.arange(rows) * (blocks * span))[:, None]
+    if blocks > 1:
+        key += np.arange(cols) // _COLUMN_BLOCK * span
+    key = key.ravel()
+    size = rows * blocks * span
+    high = np.bincount(key, weights=high.ravel(), minlength=size)
+    low = np.bincount(key, weights=low.ravel(), minlength=size)
+    del key
+    full = np.flatnonzero((high != 0) | (low != 0))
+    row, k = np.divmod(full, blocks * span)
+    T = [0] * rows
+    for r, shift, h, lw in zip(row.tolist(), (k % span).tolist(),
+                               high[full].tolist(), low[full].tolist()):
+        T[r] += ((int(h) << 26) + int(lw)) << shift
+    for r, t in enumerate(T):
+        out[r] = t / (1 << (53 - lo)) if lo < 53 else float(t << (lo - 53))
+    return out
+
+
 def csum(values) -> complex:
-    """Exactly rounded complex sum of a 1-d array (via math.fsum)."""
+    """Exactly rounded complex sum of a 1-d array (see exact_row_sums)."""
     v = np.asarray(values)
-    if v.size == 0:
-        return 0j
-    return complex(math.fsum(v.real), math.fsum(v.imag))
+    real, imag = exact_row_sums(np.stack([v.real, v.imag]))
+    return complex(real, imag)

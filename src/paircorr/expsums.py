@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _pool
 from ._pool import _CHUNK, _thread_workers, pmap
-from ._precision import LD, _pow_ld, as_ld, csum, e_frac, frac, iceil, ifloor
+from ._precision import (LD, _pow_ld, as_ld, csum, e_frac, exact_row_sums,
+                         frac, iceil, ifloor)
 from .kernels import TestKernel, fourier, periodize
 from .stats import _powers, fractional_parts
 
@@ -456,18 +457,19 @@ def _tilde_from_values(spec, h: TestKernel, js: np.ndarray,
     """S~ assembly once the transform values over the band are in hand,
     one decomposition per dilate of spec (a SequenceSpec or a DilateBlock).
 
-    The sums over j are exactly rounded (math.fsum): a threaded BLAS dot
-    here would spin idle workers on every call.
+    The sums over j are exactly rounded, all of a block's totals and
+    diagonals in one exact_row_sums call, whose numpy loops release the
+    interpreter lock; a threaded BLAS dot here would spin idle workers on
+    every call.
     """
     abs2, diag, _ = _short_components(spec, h, js)
     scale = 2.0 / spec.N ** 2
-    parts = []
-    for a2, dg in zip(abs2.reshape(-1, len(js)), diag.reshape(-1, len(js))):
-        total = scale * math.fsum((f_values * a2).tolist())
-        diagonal = scale * math.fsum((f_values * dg).tolist())
-        parts.append(TildeDecomposition(total, diagonal, total - diagonal,
-                                        int(js[0]), int(js[-1])))
-    return parts
+    rows = np.concatenate([abs2, diag]).reshape(-1, len(js))
+    sums = (scale * exact_row_sums(rows * f_values)).tolist()
+    half = len(sums) // 2
+    return [TildeDecomposition(total, diagonal, total - diagonal,
+                               int(js[0]), int(js[-1]))
+            for total, diagonal in zip(sums[:half], sums[half:])]
 
 
 def s_tilde_parts(spec: SequenceSpec, f: TestKernel, h: TestKernel,

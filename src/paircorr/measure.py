@@ -66,6 +66,8 @@ class MuMeasure:
         # flat rejection envelope in beta
         grid = np.linspace(self.rho.support_lo, self.rho.support_hi, 1 << 14)
         self._pdf_max = float((self.rho(grid) / grid).max()) * (1.0 + 1e-6)
+        # the last first_draws result and its key (see first_draws)
+        self._draws = None
 
     @property
     def Theta(self) -> float:
@@ -105,7 +107,15 @@ class MuMeasure:
         substream's round is replayed here and the accept test runs over
         all rounds at once.  A substream none of whose candidates is
         accepted falls back to sample_alphas itself.
+
+        The last result is kept, read-only, and returned again for the same
+        n and sampler settings, so the moments of one run, which all take
+        the same samples, replay the streams once.
         """
+        key = (n, self.seed, self.theta, self.rho, self._pdf_max)
+        entry = self._draws
+        if entry is not None and entry[0] == key:
+            return entry[1]
         lo, hi = self.rho.support_lo, self.rho.support_hi
         bitgen = np.random.Philox(key=self.seed)
         start = bitgen.state
@@ -122,6 +132,8 @@ class MuMeasure:
         out = beta[np.arange(n), kept.argmax(axis=1)] ** (1.0 / self.Theta)
         for i in np.flatnonzero(~kept.any(axis=1)):
             out[i] = self.sample_alphas(1, substream=int(i))[0]
+        out.flags.writeable = False
+        self._draws = (key, out)
         return out
 
     def _accept_rate(self) -> float:

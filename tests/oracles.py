@@ -7,7 +7,10 @@ the library's e_frac, so a fault in that shared term table or in e_frac
 cannot cancel out of a comparison with them.  Only the m-windows and the
 j-band come from expsums.  short_components_flat is the exception: it
 repeats the library's arithmetic term for term, e_frac included, and
-checks only the layout and summation order of expsums._short_components.
+checks only the layout and summation order of expsums._short_components;
+tilde_from_values_fsum likewise shares _short_components and checks only
+the exact sums over j.  The exact sums here are math.fsum's
+(fsum_complex), never the library's csum.
 The module is the home of every evaluation that only tests call:
 
 - beurling_B, Beurling's series summed term by term, which
@@ -28,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paircorr._precision import LD, _pow_ld, as_ld, csum, e_frac, frac
+from paircorr._precision import LD, _pow_ld, as_ld, e_frac, frac
 from paircorr.beurling import BeurlingSelberg
 from paircorr.diophantine import DioInstance, ZMultiset, _products, build_zset
-from paircorr.expsums import SequenceSpec, _band, _windows, bprocess_constants
+from paircorr.expsums import (SequenceSpec, TildeDecomposition, _band,
+                              _short_components, _windows, bprocess_constants)
 from paircorr.kernels import (_GL_ORDER, FourierTable, _gl_grid, default_h,
                               integrate)
 from paircorr.measure import MuMeasure, _osc_panels, _stationary_scale
@@ -89,6 +93,13 @@ def r_off_pairs(spec, f, h, eps=0.05) -> float:
     return float(acc.real)
 
 
+def fsum_complex(values) -> complex:
+    """Exactly rounded complex sum by math.fsum, apart from the library's
+    bucketed sum (_precision.exact_row_sums), which csum takes."""
+    v = np.asarray(values)
+    return complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
+
+
 def _short_sum(spec, h, j, lo, hi):
     """(|E~_j|^2, its diagonal part) from the terms of one window, summed
     exactly; the phase is (c2 (alpha j)^Theta) m^(1-Theta) in long double."""
@@ -104,7 +115,7 @@ def _short_sum(spec, h, j, lo, hi):
     mf = m.astype(np.float64)
     a = mf ** (-(TH + 1.0) / 2.0) * h((th * al * float(j) / mf) ** TH / N)
     pref = abs(bprocess_constants(th).c1) ** 2 * (al * float(j)) ** TH
-    return (pref * abs(csum(a * e(ph))) ** 2,
+    return (pref * abs(fsum_complex(a * e(ph))) ** 2,
             pref * math.fsum((a * a).tolist()))
 
 
@@ -171,6 +182,22 @@ def short_components_flat(spec, h, js):
     aj = np.multiply.outer(spec.alphas, js.astype(np.float64)).ravel()
     pref = abs(bprocess_constants(th).c1) ** 2 * aj ** TH
     return pref * (sr ** 2 + si ** 2), pref * dg
+
+
+def tilde_from_values_fsum(spec, h, js, f_values):
+    """expsums._tilde_from_values with each sum over j taken by math.fsum,
+    dilate by dilate: the assembly that the bucketed exact sums replaced.
+    It shares _short_components with the fast path and checks only the
+    sums over j and their layout, to the bit."""
+    abs2, diag, _ = _short_components(spec, h, js)
+    scale = 2.0 / spec.N ** 2
+    parts = []
+    for a2, dg in zip(abs2.reshape(-1, len(js)), diag.reshape(-1, len(js))):
+        total = scale * math.fsum((f_values * a2).tolist())
+        diagonal = scale * math.fsum((f_values * dg).tolist())
+        parts.append(TildeDecomposition(total, diagonal, total - diagonal,
+                                        int(js[0]), int(js[-1])))
+    return parts
 
 
 def osc_integral_vec(N, j1, j2, m1, n1, m2, n2, mu, h=None) -> complex:

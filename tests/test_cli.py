@@ -16,6 +16,7 @@ from paircorr import _pool, _precision, cli, stats
 from paircorr.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                           _load_config, main, subsequence)
 from paircorr._precision import _pow_ld
+from paircorr.measure import MuMeasure, second_moment_tilde_e
 
 
 def test_subsequence_values():
@@ -188,6 +189,32 @@ def test_determinism_modulo_timestamp(tmp_path):
     r1["config"].pop("output_dir"), r2["config"].pop("output_dir")
     assert r1 == r2
     assert (out1 / "moments.csv").read_text() == (out2 / "moments.csv").read_text()
+
+
+def test_moments_run_replays_the_draws_once(monkeypatch):
+    # every j and N of a moments run takes the same samples: one replay of
+    # the Philox streams serves them all, and each row keeps the bytes of
+    # the estimate from a measure of its own, which replays them afresh
+    cfg = ExperimentConfig(experiment="moments", theta=0.5, seed=3,
+                           N_list=[512, 700], samples=300)
+    cfg.validate()
+    made = []
+    philox = np.random.Philox
+
+    def spy(*args, **kwargs):
+        made.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", spy)
+    rows = cli._run_moments(cfg)
+    monkeypatch.undo()
+    assert made == [{"key": 3}] and len(rows) == 6
+    for row in rows:
+        inp = row["inputs"]
+        est = second_moment_tilde_e(inp["N"], inp["j"], MuMeasure(0.5, seed=3),
+                                    samples=300)
+        assert (np.array([row["value"], inp["stderr"]]).tobytes()
+                == np.array([est.value, est.stderr]).tobytes())
 
 
 def test_flag_overrides_config_file(tmp_path):

@@ -15,7 +15,8 @@ from paircorr._pool import _CHUNK, ResourceGuardError
 from paircorr._precision import _pow_ld, as_ld, csum, e_frac, frac
 from paircorr.expsums import (DilateBlock, SequenceSpec, _band,
                               _direct_abs2, _index_range, _nufft_abs2,
-                              _short_components, _short_terms, _windows,
+                              _short_components, _short_terms,
+                              _tilde_from_values, _windows,
                               bprocess_constants, exp_sum_bprocess,
                               exp_sum_direct, exp_sum_pair, pair_corr_smooth,
                               s_sum, s_tilde_parts)
@@ -24,7 +25,7 @@ from paircorr.measure import MuMeasure
 from paircorr.stats import fractional_parts
 
 from oracles import (diagonal_w_term, e, r_off_pairs, short_components_flat,
-                     stationary_point)
+                     stationary_point, tilde_from_values_fsum)
 
 
 def test_spec_validation():
@@ -549,6 +550,26 @@ def test_tilde_decomposition_is_consistent(f, h):
     assert parts.total == pytest.approx(parts.diagonal + parts.off_diagonal,
                                         abs=1e-15)
     assert parts.j_lo >= 1 and parts.j_hi >= parts.j_lo
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("N", [2 ** 10, 2 ** 12])
+def test_tilde_from_values_matches_the_fsum_assembly(f, h, theta, N):
+    # one exact_row_sums call per block against math.fsum per dilate, to
+    # the bit, on blocks of 1, 3 and 8 dilates
+    js = _band(N, 0.05)
+    fv = fourier(f, js / N).real
+    rng = np.random.default_rng(N + int(100 * theta))
+    for size in (1, 3, 8):
+        block = DilateBlock(theta, rng.uniform(1.0, 2.0, size), N)
+        got = _tilde_from_values(block, h, js, fv)
+        want = tilde_from_values_fsum(block, h, js, fv)
+        assert len(got) == size and got == want
+        for g, w in zip(got, want):
+            assert (np.array([g.total, g.diagonal, g.off_diagonal]).tobytes()
+                    == np.array([w.total, w.diagonal, w.off_diagonal])
+                    .tobytes())
+            assert type(g.total) is float and type(g.off_diagonal) is float
 
 
 def test_diagonal_w_term_asymptotics(h):

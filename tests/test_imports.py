@@ -85,6 +85,23 @@ def test_the_unused_import_check_sees_a_leftover():
                                        "_pool (line 1)"]
 
 
+def _fsum_uses(source: str) -> list[int]:
+    """Lines that name fsum: a call, an attribute or an import."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Attribute) and node.attr == "fsum")
+                   or (isinstance(node, ast.Name) and node.id == "fsum")
+                   or (isinstance(node, ast.alias) and node.name == "fsum")})
+
+
+def test_no_module_sums_with_math_fsum():
+    # math.fsum holds the interpreter lock for a whole row; the library's
+    # exact sums are _precision.exact_row_sums, and fsum stays in tests/
+    uses = {p.stem: _fsum_uses(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {k: v for k, v in uses.items() if v} == {}
+    assert _fsum_uses("import math\nfrom math import fsum\n"
+                      "x = math.fsum([1.0])\n") == [2, 3]
+
+
 # six experiments at small sizes, then bs-check: only the last may load
 # scipy.fft, which takes two thirds of the package's start-up
 _FRESH_RUNS = textwrap.dedent("""

@@ -1,14 +1,20 @@
 """Long-double reduction mod 1: frac against the floor form, bit for bit;
 e(.) by its turn table against mpmath; fuzzy integer rounding against the
-inline formulas it replaced."""
+inline formulas it replaced; the bucketed exact row sums against
+math.fsum, bit for bit."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from paircorr._precision import LD, as_ld, e_frac, frac, iceil, ifloor
+from paircorr import _precision
+from paircorr._precision import (LD, as_ld, csum, e_frac, exact_row_sums,
+                                 frac, iceil, ifloor)
 from paircorr.diophantine import dio_instance
 from paircorr.expsums import DilateBlock, _band, _windows
 
@@ -269,3 +275,65 @@ def test_windows_band_and_dio_cells_keep_their_integers():
                             max(1, old_iceil(m_min)), old_ifloor(m_max),
                             old_iceil(math.exp(q)),
                             old_iceil(math.exp(q + 1.0)))
+
+
+# values across the whole finite range: hypothesis' own floats, a mantissa
+# times any binary exponent, and exact multiples of the least subnormal
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1100, 1023)),
+    st.integers(-(2 ** 53), 2 ** 53).map(lambda k: k * 5e-324),
+    st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _rows(draw):
+    """Rows of one width (zero allowed), some entries the exact negatives
+    of others, so that whole rows may cancel to zero."""
+    width = draw(st.integers(0, 24))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.lists(_finite, min_size=width, max_size=width))
+        flips = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        for i in range(width // 2):
+            if flips[i]:
+                row[width - 1 - i] = -row[i]
+        rows.append(row)
+    return rows
+
+
+@given(rows=_rows(), block=st.sampled_from([1, 2, 3, 1 << 26]))
+@example(rows=[[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]], block=1 << 26)
+@example(rows=[[5e-324], [-1.5], [1e308]], block=1 << 26)
+@example(rows=[[], [], []], block=1 << 26)
+@example(rows=[[1e308, 1e308, -1e308, -1e308, 1.0, 2.0 ** -1074]], block=2)
+@settings(max_examples=400, deadline=None)
+def test_exact_row_sums_are_fsums_bit_for_bit(rows, block):
+    want = []
+    for row in rows:
+        try:
+            want.append(math.fsum(row))
+        except OverflowError:  # fsum's intermediate overflow: no reference
+            reject()
+    # a zero sum is +0.0, as math.fsum gives it on Python 3.11
+    want = np.array([w or 0.0 for w in want])
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    with mock.patch.object(_precision, "_COLUMN_BLOCK", block):
+        got = exact_row_sums(X)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_exact_row_sums_edges():
+    assert exact_row_sums(np.zeros((0, 5))).shape == (0,)
+    assert exact_row_sums(np.zeros((3, 0))).tobytes() == np.zeros(3).tobytes()
+    with pytest.raises(ValueError):
+        exact_row_sums(np.ones(4))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            exact_row_sums(np.array([[1.0, bad]]))
+    # past the float range the sum overflows loudly, as math.fsum's does
+    with pytest.raises(OverflowError):
+        exact_row_sums(np.array([[1e308, 1e308]]))
+    assert csum(np.array([1e16 + 1j, 1.0 - 1e-300j, -1e16])) == complex(
+        1.0, math.fsum([1.0, -1e-300]))
+    assert csum(np.zeros(0)) == 0j
