@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -262,6 +263,48 @@ def _windows(spec, js: np.ndarray):
     return lo, hi, lens
 
 
+def _cells(flat: np.ndarray, shape, dtype=None) -> np.ndarray:
+    """The first rows x cols entries of a flat workspace array as a
+    rectangle; with dtype, of its bytes read as that type."""
+    n = shape[0] * shape[1]
+    if dtype is not None:
+        flat = flat.view(np.uint8)[:n * np.dtype(dtype).itemsize].view(dtype)
+    return flat[:n].reshape(shape)
+
+
+class _Workspace(NamedTuple):
+    """Flat cell arrays that every chunk of one _short_components call
+    reuses: a chunk's rectangle is a view of the first rows x cols entries
+    of each (_cells).  An array spent before a later one needs the bytes
+    lends them: the reduced phase takes x_m's, and the real and imaginary
+    parts of e(.) take the index's and the long-double phase's.  40 bytes
+    a cell (x86), in one allocation."""
+
+    idx: np.ndarray  # int64: the m of each cell, then Re e(.)
+    xm: np.ndarray  # float64: x_m, then the reduced phase
+    amp: np.ndarray  # float64: the amplitude
+    ph: np.ndarray  # long double: the phase, then Im e(.)
+
+    @classmethod
+    def of(cls, cells: int) -> "_Workspace":
+        # one block, not four arrays: glibc then keeps it for the next
+        # call's workspace more often, where it gave the four back to the
+        # system and faulted them in again (second_moment_roff at N = 2**14,
+        # 100 samples, two threads: about 1k minor faults in 12 of 21 runs
+        # and 30k-64k in the rest, against 28k-38k for four arrays)
+        ld = np.dtype(LD).itemsize
+        raw = np.empty(cells * (ld + 24), np.uint8)
+        idx, xm, amp = raw[cells * ld:].view(np.float64).reshape(3, cells)
+        return cls(idx.view(np.int64), xm, amp, raw[:cells * ld].view(LD))
+
+    def e_parts(self, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 rectangles for the real and imaginary parts of e(.),
+        over the index and the long-double phase, which are spent once the
+        phase is reduced."""
+        return (_cells(self.idx, shape, np.float64),
+                _cells(self.ph, shape, np.float64))
+
+
 def _short_terms(spec, h: TestKernel, js: np.ndarray, windows=None,
                  start: int = 0, stop: int | None = None):
     """The stationary-phase terms of the (dilate, j) pairs start..stop-1 of
@@ -269,7 +312,9 @@ def _short_terms(spec, h: TestKernel, js: np.ndarray, windows=None,
 
     spec is a SequenceSpec or a DilateBlock; pair p is the (dilate, j) pair
     (alphas[p // J], js[p % J]) with J = len(js), and windows, when given,
-    are _windows(spec, js).  Cell (l, q) is the term m = lo + l of pair
+    are _windows(spec, js), optionally followed by a _Workspace of at least
+    the rectangle's cells, which the result then views; without one the
+    result is fresh.  Cell (l, q) is the term m = lo + l of pair
     start + q, for l below the pair's window length; the rectangle has as
     many rows as the longest window, and a cell past its pair's window has
     amplitude 0.  Over its column a pair reads
@@ -287,11 +332,13 @@ def _short_terms(spec, h: TestKernel, js: np.ndarray, windows=None,
     th, N = spec.theta, spec.N
     if windows is None:
         windows = _windows(spec, js)
-    lo, _, lens = windows
+    lo, _, lens = windows[:3]
     lo, lens = lo[start:stop], lens[start:stop]
     rows = int(lens.max(initial=0))
     if rows == 0:
         return np.zeros((0, lens.size)), np.zeros((0, lens.size))
+    shape = (rows, lens.size)
+    work = windows[3] if len(windows) > 3 else _Workspace.of(rows * lens.size)
     live = lens > 0
     m_base = int(lo[live].min())
     # the m of the union of the windows, and one more: every cell past its
@@ -299,29 +346,31 @@ def _short_terms(spec, h: TestKernel, js: np.ndarray, windows=None,
     # phase are finite
     ms = np.arange(m_base, int((lo + lens)[live].max()) + 1)
     btab = _pow_ld(ms, 1.0 - TH)
-    mtab = ms.astype(np.float64)
-    ptab = mtab ** (-(TH + 1.0) / 2.0)
+    ptab = ms.astype(np.float64) ** (-(TH + 1.0) / 2.0)
     ptab[-1] = 0.0
     ls = np.arange(rows)[:, None]
-    idx = ls + (lo - m_base)
+    idx = np.add(ls, lo - m_base, out=_cells(work.idx, shape))
     np.putmask(idx, ls >= lens, ms.size - 1)
     d, k = np.divmod(np.arange(start, start + lens.size), len(js))
     alphas, jp = spec.alphas[d], js[k]
     taj = (th * alphas) * jp.astype(np.float64)
-    xm = np.take(mtab, idx)
+    # m = m_base + idx, exact in float64: an add, which releases the
+    # interpreter lock where a take from a table of m would hold it
+    xm = np.add(idx, m_base, out=_cells(work.xm, shape))
     np.divide(taj, xm, out=xm)
     xm **= TH
     xm /= N
-    amp = np.take(ptab, idx)
+    # the indices are in range: "clip" takes them as they are, where the
+    # default would buffer its output
+    amp = np.take(ptab, idx, out=_cells(work.amp, shape), mode="clip")
     amp *= h(xm)
-    del xm  # before the long-double temporaries of the phase
     th_ld = LD(th)
     c2_ld = np.power(th_ld, LD(TH - 1.0)) - np.power(th_ld, LD(TH))
     ca_ld = c2_ld * np.power(as_ld(alphas) * as_ld(jp), LD(TH))
-    ph = np.take(btab, idx)
-    del idx
+    ph = np.take(btab, idx, out=_cells(work.ph, shape), mode="clip")
     ph *= ca_ld
-    return amp, frac(ph)
+    # frac is looked up at call time, as a wrapper may replace it
+    return amp, frac(ph, out=_cells(work.xm, shape))
 
 
 def _column_sums(cells: np.ndarray) -> np.ndarray:
@@ -334,47 +383,67 @@ def _column_sums(cells: np.ndarray) -> np.ndarray:
     return np.add.reduce(cells, axis=0)
 
 
-def _short_components(spec, h: TestKernel, js: np.ndarray):
-    """Per-pair short-form data: |E~_j|^2 and its diagonal (n = m) part,
-    one entry per (dilate, j) pair of spec, dilate-major.
-
-    The pairs run in chunks of consecutive pairs whose _short_terms
+def _chunks(lens: np.ndarray) -> list[tuple[int, int]]:
+    """Cuts of the pairs into runs a..b-1 of consecutive pairs whose
     rectangle (longest window times pairs, an empty window counted as one
-    row) holds at most _CHUNK cells, so a chunk's tables stay in cache; a
-    window longer than that is a chunk of its own.  Each pair's column is
-    summed in window order (_column_sums), as one bincount over a flat
-    table of the terms would add them, so neither the chunking nor the
-    padding moves a bit.  The column sums are ufunc loops, which release
-    the interpreter lock, so the calls of measure's pool threads overlap.
-    """
-    windows = _windows(spec, js)
-    lens = windows[2]
-    P = lens.size
+    row) holds at most _CHUNK cells; a window longer than that is a run of
+    its own."""
     cols = np.maximum(lens, 1)
     ends = np.cumsum(cols)
-    sr, si, dg = np.zeros(P), np.zeros(P), np.zeros(P)
-    a = 0
-    while a < P:
+    cuts, a = [], 0
+    while a < lens.size:
         # a rectangle holds at least the sum of its columns, so it ends
         # before the pair that takes that sum past _CHUNK (top)
         top = int(np.searchsorted(ends, ends[a] - cols[a] + _CHUNK, "right"))
         cells = (np.maximum.accumulate(cols[a:top])
                  * np.arange(1, top - a + 1))
         b = a + max(1, int(np.searchsorted(cells, _CHUNK, "right")))
-        # e_frac is looked up at call time, as a wrapper may replace it
-        amp, ph = _short_terms(spec, h, js, windows, a, b)
-        if amp.size:
-            e = e_frac(ph)
-            w = np.multiply(amp, e.real, out=ph)  # ph is spent
-            sr[a:b] = _column_sums(w)
-            np.multiply(amp, e.imag, out=w)
-            si[a:b] = _column_sums(w)
-            np.multiply(amp, amp, out=w)
-            dg[a:b] = _column_sums(w)
+        cuts.append((a, b))
         a = b
+    return cuts
+
+
+def _short_components(spec, h: TestKernel, js: np.ndarray):
+    """Per-pair short-form data: |E~_j|^2 and its diagonal (n = m) part,
+    one entry per (dilate, j) pair of spec, dilate-major.
+
+    The pairs run in chunks (_chunks) whose _short_terms rectangles stay
+    in cache.  Every chunk's cells are views of one _Workspace, sized to
+    the largest rectangle before the first chunk, so no chunk allocates
+    its cells afresh: e(.) goes into two of its float64 rectangles, the
+    amplitude is multiplied into them in place, and their columns are
+    summed.  Each pair's column is summed in window order (_column_sums),
+    as one bincount over a flat table of the terms would add them, so
+    neither the chunking nor the padding moves a bit.  The column sums are
+    ufunc loops, which release the interpreter lock, so the calls of
+    measure's pool threads overlap; each call has its own workspace.
+    """
+    windows = _windows(spec, js)
+    lens = windows[2]
+    P = lens.size
+    chunks = _chunks(lens)
+    work = _Workspace.of(max((int(lens[a:b].max()) * (b - a)
+                              for a, b in chunks), default=0))
+    sr, si, dg = np.zeros(P), np.zeros(P), np.zeros(P)
+    for a, b in chunks:
+        amp, ph = _short_terms(spec, h, js, windows + (work,), a, b)
+        if amp.size:
+            # e_frac is looked up at call time, as a wrapper may replace it
+            re, im = e_frac(ph, out=work.e_parts(amp.shape))
+            re *= amp
+            sr[a:b] = _column_sums(re)
+            im *= amp
+            si[a:b] = _column_sums(im)
+            np.multiply(amp, amp, out=re)
+            dg[a:b] = _column_sums(re)
     aj = np.multiply.outer(spec.alphas, js.astype(np.float64)).ravel()
     pref = abs(bprocess_constants(spec.theta).c1) ** 2 * aj ** spec.Theta
-    return pref * (sr ** 2 + si ** 2), pref * dg, windows
+    sr *= sr
+    si *= si
+    sr += si
+    sr *= pref
+    dg *= pref
+    return sr, dg, windows
 
 
 def exp_sum_bprocess(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
@@ -465,7 +534,8 @@ def _tilde_from_values(spec, h: TestKernel, js: np.ndarray,
     abs2, diag, _ = _short_components(spec, h, js)
     scale = 2.0 / spec.N ** 2
     rows = np.concatenate([abs2, diag]).reshape(-1, len(js))
-    sums = (scale * exact_row_sums(rows * f_values)).tolist()
+    rows *= f_values
+    sums = (scale * exact_row_sums(rows)).tolist()
     half = len(sums) // 2
     return [TildeDecomposition(total, diagonal, total - diagonal,
                                int(js[0]), int(js[-1]))

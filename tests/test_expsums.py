@@ -725,10 +725,34 @@ def test_short_components_bytes_do_not_depend_on_the_chunk(monkeypatch, h,
     assert empty and long and chunks[0] > 1
 
 
+def test_short_components_chunks_share_one_workspace(monkeypatch, h):
+    # every chunk's amplitudes and reduced phases are views of the same
+    # buffers, held alive together here, so no chunk allocates its cells
+    outs = []
+    terms = expsums._short_terms
+
+    def spy(spec, h, js, windows=None, start=0, stop=None):
+        out = terms(spec, h, js, windows, start, stop)
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(expsums, "_short_terms", spy)
+    block = DilateBlock(0.5, np.array([1.37]), 2 ** 14)
+    _short_components(block, h, _band(2 ** 14, 0.05))
+    assert len(outs) > 10
+    amp0, ph0 = outs[0]
+    assert not np.shares_memory(amp0, ph0)
+    for amp, ph in outs:
+        assert amp.ctypes.data == amp0.ctypes.data
+        assert ph.ctypes.data == ph0.ctypes.data
+        assert np.shares_memory(amp, amp0) and np.shares_memory(ph, ph0)
+
+
 # peak bytes of _short_components under tracemalloc: a cell of the largest
-# rectangle (about 100 while e_frac runs: the amplitudes, the phases and
-# e_frac's temporaries) and a (dilate, j) pair (about 57: the windows,
-# the chunk cuts and the sums)
+# rectangle (64 while e_frac runs: the workspace's 40, which are the index,
+# x_m, the amplitude and the long-double phase, whose bytes the reduced
+# phase and e(.) reuse, and e_frac's three temporaries of 8) and a
+# (dilate, j) pair (48: the windows and the sums)
 _SHORT_BYTES_PER_CELL = 112
 _SHORT_BYTES_PER_PAIR = 64
 
@@ -742,7 +766,7 @@ def test_short_components_peak_is_a_chunk_of_cells(h):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 4.0e5 terms in about 13 rectangles; the peak is 4.2 MB of 4.7 MB
+    # 4.0e5 terms in 16 rectangles; the peak is 2.9 MB of 4.7 MB
     assert lens.sum() > 12 * _CHUNK
     assert (peak <= _SHORT_BYTES_PER_CELL * _CHUNK
             + _SHORT_BYTES_PER_PAIR * lens.size)

@@ -323,17 +323,22 @@ def test_one_windows_pass_per_block(monkeypatch, f, h):
 
 
 def test_moments_do_not_depend_on_the_blocks(monkeypatch, f, h):
-    # one block per sample on one thread against the default cut
+    # one block per sample on 1, 2 and 4 threads against the default cut;
+    # at N = 2**12 one call spans several chunks of its workspace, so a
+    # workspace shared between pool jobs would move bits
     mu = MuMeasure(0.5, seed=17)
-    ref = (second_moment_tilde_e(10**4, 2 * 10**4, mu, samples=64,
-                                 split=True),
-           second_moment_roff(1024, f, h, 0.05, mu, samples=100))
+
+    def moments():
+        return (second_moment_tilde_e(10**4, 2 * 10**4, mu, samples=64,
+                                      split=True),
+                second_moment_roff(1024, f, h, 0.05, mu, samples=100),
+                second_moment_roff(2 ** 12, f, h, 0.05, mu, samples=100))
+
+    ref = moments()
     monkeypatch.setattr(measure, "_BLOCK_PAIRS", 1)
-    monkeypatch.setattr(measure, "_thread_workers", lambda: 1)
-    got = (second_moment_tilde_e(10**4, 2 * 10**4, mu, samples=64,
-                                 split=True),
-           second_moment_roff(1024, f, h, 0.05, mu, samples=100))
-    assert got == ref
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(measure, "_thread_workers", lambda: workers)
+        assert moments() == ref
 
 
 @pytest.mark.parametrize("N, j", [(10**4, 2 * 10**4), (2048, 2048)])

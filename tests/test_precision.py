@@ -191,6 +191,56 @@ def test_e_frac_bits_do_not_depend_on_the_array():
     assert e_frac(x[::3]).tobytes() == got[::3].tobytes()
 
 
+def test_e_frac_parts_written_to_out_are_the_complex_parts():
+    turns = np.arange(1025) / 1024
+    x = np.concatenate([
+        np.random.default_rng(3).random(300), [0.0, 1.0, np.nan],
+        turns, np.nextafter(turns, 2.0), np.nextafter(turns, -1.0)])
+    for fr in (x, x[:1].reshape(()), x[:0], x[:300].reshape(20, 15)):
+        want = e_frac(fr)
+        re, im = np.full(fr.shape, 7.0), np.full(fr.shape, 7.0)
+        out = e_frac(fr, out=(re, im))
+        assert out[0] is re and out[1] is im
+        assert re.tobytes() == np.real(want).tobytes()
+        assert im.tobytes() == np.imag(want).tobytes()
+    # strided parts, as the real and imaginary views of a complex array
+    z = np.empty(x.shape, np.complex128)
+    e_frac(x, out=(z.real, z.imag))
+    assert z.tobytes() == e_frac(x).tobytes()
+
+
+def test_frac_written_to_out_has_the_same_bits():
+    mags = [TWO_62 - 1, TWO_63 - 1, TWO_63, TWO_63 + 2, TWO_70,
+            LD(10) ** 400]
+    cases = [
+        -np.array([0.5, 1.25, 4999.5, 1e-30, LD(10) ** -4000, TWO_62 - 1]),
+        as_ld([0.0, -0.0, -3.0]),
+        np.array(mags + [-m for m in mags], dtype=LD),
+        as_ld([np.inf, -np.inf, np.nan, 1.5]),
+        as_ld(np.random.default_rng(9).uniform(0.0, 1e9, (40, 50))),
+        as_ld(2.75), as_ld(-1e-30), np.zeros(0, LD)]
+    with np.errstate(invalid="ignore"):
+        for x in cases:
+            x = as_ld(x)
+            want = frac(x)
+            out = np.full(x.shape, 7.0)
+            assert frac(x, out=out) is out
+            assert np.asarray(want).tobytes() == out.tobytes()
+
+
+def test_out_of_the_wrong_shape_or_dtype_raises():
+    x = np.linspace(0.0, 1.0, 6)
+    bad = [np.empty(5), np.empty((2, 3)), np.empty(6, np.float32),
+           np.empty(6, LD), np.empty(6, np.int64), [0.0] * 6]
+    for out in bad:
+        with pytest.raises(ValueError):
+            frac(as_ld(x), out=out)
+        with pytest.raises(ValueError):
+            e_frac(x, out=(out, np.empty(6)))
+        with pytest.raises(ValueError):
+            e_frac(x, out=(np.empty(6), out))
+
+
 # the inline rounding of _windows, _band and dio_instance before iceil and
 # ifloor, kept as the reference those must reproduce
 def old_iceil(x: float) -> int:
@@ -302,13 +352,19 @@ def _rows(draw):
     return rows
 
 
-@given(rows=_rows(), block=st.sampled_from([1, 2, 3, 1 << 26]))
-@example(rows=[[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]], block=1 << 26)
-@example(rows=[[5e-324], [-1.5], [1e308]], block=1 << 26)
-@example(rows=[[], [], []], block=1 << 26)
-@example(rows=[[1e308, 1e308, -1e308, -1e308, 1.0, 2.0 ** -1074]], block=2)
+@given(rows=_rows(), block=st.sampled_from([1, 2, 3, 1 << 26]),
+       chunk=st.sampled_from([1, 2, 3, 1 << 13]))
+@example(rows=[[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]], block=1 << 26,
+         chunk=1 << 13)
+@example(rows=[[5e-324], [-1.5], [1e308]], block=1 << 26, chunk=1 << 13)
+@example(rows=[[], [], []], block=1 << 26, chunk=1 << 13)
+@example(rows=[[1e308, 1e308, -1e308, -1e308, 1.0, 2.0 ** -1074]], block=2,
+         chunk=1 << 13)
+# chunks whose exponents lie below, above and around the table's
+@example(rows=[[1e-300, 0.0, 1e300, 1.0, 5e-324, -1e-300]], block=1 << 26,
+         chunk=1)
 @settings(max_examples=400, deadline=None)
-def test_exact_row_sums_are_fsums_bit_for_bit(rows, block):
+def test_exact_row_sums_are_fsums_bit_for_bit(rows, block, chunk):
     want = []
     for row in rows:
         try:
@@ -318,7 +374,8 @@ def test_exact_row_sums_are_fsums_bit_for_bit(rows, block):
     # a zero sum is +0.0, as math.fsum gives it on Python 3.11
     want = np.array([w or 0.0 for w in want])
     X = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
-    with mock.patch.object(_precision, "_COLUMN_BLOCK", block):
+    with mock.patch.object(_precision, "_COLUMN_BLOCK", block), \
+            mock.patch.object(_precision, "_SUM_VALUES", chunk):
         got = exact_row_sums(X)
     assert got.tobytes() == want.tobytes()
 
