@@ -32,13 +32,13 @@ e(k / 1024) and a short series in the rest of the turn, in float64; it is
 closer to e(x) than ``exp(2j * pi * x)`` (2.5e-16 against 7.1e-16 absolute
 on 20,000 seeded arguments, against 30-digit mpmath).
 
-Both write into arrays the caller gives (``frac(x, out=)``,
-``e_frac(fr, out=(re, im))``), so a caller that reuses its buffers takes
-no fresh memory for the results.
+Both take arrays of one or more dimensions, not scalars, and write into
+arrays the caller gives (``frac(x, out=)``, ``e_frac(fr, out=(re, im))``),
+so a caller that reuses its buffers takes no fresh memory for the results.
 
 ``exact_row_sums`` sums each row of a 2-d array exactly rounded, with the
-bits of ``math.fsum``, by exponent buckets in numpy loops that release the
-interpreter lock; ``csum`` is the complex sum built on it.
+bits of ``math.fsum``, by exponent buckets in one pass of numpy loops that
+release the interpreter lock; ``csum`` is the complex sum built on it.
 """
 
 import math
@@ -52,9 +52,6 @@ _TWO_63 = 2.0 ** 63
 # values in one bucket of exact_row_sums: 2**26 parts of at most 2**27 in
 # magnitude sum to at most 2**53, which float64 holds exactly
 _COLUMN_BLOCK = 1 << 26
-# values exact_row_sums takes at a time: its three chunk arrays of 8 bytes
-# a value stay small enough to be reused rather than faulted in afresh
-_SUM_VALUES = 1 << 13
 
 
 def as_ld(x):
@@ -80,20 +77,13 @@ def _out(out, shape):
 def frac(x, out=None):
     """Fractional part in [0, 1], computed in long double, returned as float64.
 
-    The same bits as (x - floor(x)).astype(float64), 1.0 included: a tiny
+    x is an array of one or more dimensions; a 0-d one is not taken.  The
+    same bits as (x - floor(x)).astype(float64), 1.0 included: a tiny
     negative x rounds x - floor(x) up to 1.  With out, a float64 array of
     x's shape, the result is written there and out is returned.
     """
     x = as_ld(x)
-    if out is not None:
-        _out(out, x.shape)
-    if x.ndim == 0:
-        if out is None:
-            return frac(x.reshape(1))[0]
-        frac(x.reshape(1), out=out.reshape(1))
-        return out
-    if out is None:
-        out = np.empty(x.shape)
+    out = np.empty(x.shape) if out is None else _out(out, x.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         # float64 rounds the range test outwards only near 2**63, where the
         # exact long-double mask below decides
@@ -140,7 +130,8 @@ _COS, _SIN = _turn_table()
 
 
 def e_frac(fr, out=None):
-    """e(x) = exp(2 pi i x) for arguments already reduced to [0, 1].
+    """e(x) = exp(2 pi i x) for an array of arguments already reduced to
+    [0, 1], of one or more dimensions; a 0-d one is not taken.
 
     Write x = (k + r) / 1024 with k = trunc(1024 x) and r = 1024 x - k,
     both exact (the scale only moves the exponent).  Then
@@ -163,11 +154,8 @@ def e_frac(fr, out=None):
         re, im = e_frac(fr, out=(np.empty(fr.shape), np.empty(fr.shape)))
         e = np.empty(fr.shape, np.complex128)
         e.real, e.imag = re, im
-        return e[()] if fr.ndim == 0 else e
+        return e
     re, im = (_out(o, fr.shape) for o in out)
-    if fr.ndim == 0:
-        e_frac(fr.reshape(1), out=(re.reshape(1), im.reshape(1)))
-        return re, im
     with np.errstate(invalid="ignore"):  # NaN stays NaN through the series
         t = fr * 1024.0
         k = t.astype(np.int64)
@@ -235,17 +223,13 @@ def exact_row_sums(X) -> np.ndarray:
       with its own buckets;
     - per row, the nonzero buckets (tens, not a row's length) combine into
       one Python int T with the row's sum T * 2**(lo - 53), lo the least e
-      in the array;
+      of the array's nonzero values;
     - int true division rounds T / 2**(53 - lo) correctly, subnormals
       included, and float(T << (lo - 53)) does so when lo >= 53.
 
-    The columns go through in chunks of about _SUM_VALUES values, so the
-    chunk's three arrays of 8 bytes a value are reused, and each chunk's
-    bucket sums are added into one table.  A bucket's sum stays exact, as
-    its parts are still at most 2**26.  The table covers e from the least
-    of the chunks' exponents (a zero's e is 0) to the largest magnitude's,
-    and widens when a chunk falls outside it.  It takes 16 bytes a bucket:
-    rows times column blocks times the span of e.
+    One pass over the array: one np.frexp, one clip of the keys.  It takes
+    25 bytes a value and 16 a bucket: rows times column blocks times the
+    span of e over the nonzero values.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -254,53 +238,33 @@ def exact_row_sums(X) -> np.ndarray:
     out = np.zeros(rows)
     if X.size == 0:
         return out
+    if not np.isfinite(X).all():
+        raise ValueError("exact_row_sums takes finite values only")
+    # the exponents go straight to intp, bincount's index type
+    mant, e = np.frexp(X, out=(np.empty(X.shape), np.empty(X.shape, np.intp)))
+    nonzero = mant != 0
+    if not nonzero.any():
+        return out
+    # M / 2**26 = 2**27 mant: its floor and its exact rest, in place
+    mant *= 2.0 ** 27
+    high = np.floor(mant)
+    low = np.subtract(mant, high, out=mant)
+    low *= 2.0 ** 26
+    lo = int(e.min(where=nonzero, initial=1 << 20))
+    span = int(e.max(where=nonzero, initial=-(1 << 20))) - lo + 1
     blocks = -(-cols // _COLUMN_BLOCK)
-    step = max(1, _SUM_VALUES // rows)
-    # the chunk's mantissas (then low parts), exponents (then bucket keys)
-    # and high parts; the exponents go straight to intp, bincount's type
-    mant = np.empty(rows * step)
-    e = np.empty(rows * step, np.intp)
-    high = np.empty(rows * step)
-    # bucket sums of the high and low parts over (row and column block,
-    # e - lo), for e from lo to hi
-    table = None
-    for c in range(0, cols, step):
-        part = X[:, c:c + step]
-        top, bottom = float(part.max()), float(part.min())
-        if not (math.isfinite(top) and math.isfinite(bottom)):
-            raise ValueError("exact_row_sums takes finite values only")
-        m, key, h = (a[:part.size].reshape(part.shape)
-                     for a in (mant, e, high))
-        np.frexp(part, out=(m, key))
-        # e runs from the least exponent (a zero's is 0) to the largest
-        # magnitude's
-        c_lo = int(key.min())
-        c_hi = math.frexp(max(top, -bottom))[1]
-        if table is None or c_lo < lo or c_hi > hi:
-            new_lo, new_hi = ((c_lo, c_hi) if table is None
-                              else (min(lo, c_lo), max(hi, c_hi)))
-            wider = np.zeros((2, rows * blocks, new_hi - new_lo + 1))
-            if table is not None:
-                wider[:, :, lo - new_lo:hi - new_lo + 1] = table
-            table, lo, hi = wider, new_lo, new_hi
-            span = hi - lo + 1
-            offsets = (np.arange(rows) * (blocks * span))[:, None]
-        # M / 2**26 = 2**27 mant: its floor and its exact rest, in place
-        m *= 2.0 ** 27
-        np.floor(m, out=h)
-        low = np.subtract(m, h, out=m)
-        low *= 2.0 ** 26
-        # bucket (row, column block, e - lo); a zero's e of 0 may lie past
-        # hi, and the minimum keeps it in its row, where it adds 0
-        key -= lo
-        np.minimum(key, span - 1, out=key)
-        key += offsets
-        if blocks > 1:
-            key += np.arange(c, c + part.shape[1]) // _COLUMN_BLOCK * span
-        for t, w in zip(table, (h, low)):
-            t += np.bincount(key.ravel(), weights=w.ravel(),
-                             minlength=t.size).reshape(t.shape)
-    high, low = table[0].ravel(), table[1].ravel()
+    # bucket (row, column block, e - lo); a zero, whose e is 0, adds 0 to
+    # a bucket of its row that the clip picks
+    key = np.subtract(e, lo, out=e)
+    np.clip(key, 0, span - 1, out=key)
+    key += (np.arange(rows) * (blocks * span))[:, None]
+    if blocks > 1:
+        key += np.arange(cols) // _COLUMN_BLOCK * span
+    key = key.ravel()
+    size = rows * blocks * span
+    high = np.bincount(key, weights=high.ravel(), minlength=size)
+    low = np.bincount(key, weights=low.ravel(), minlength=size)
+    del key
     full = np.flatnonzero((high != 0) | (low != 0))
     row, k = np.divmod(full, blocks * span)
     T = [0] * rows

@@ -434,11 +434,13 @@ def run(config: ExperimentConfig) -> dict:
             "peak_rss_mb": _peak_rss_mb(),
         },
     }
+    # strict JSON, serialised before any file is opened: a non-finite value
+    # raises ValueError here and leaves no half-written report
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     with open(out / f"{config.experiment}.csv", "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("x,value,reference,ratio\n")

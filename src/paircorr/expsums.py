@@ -33,19 +33,26 @@ from .stats import _powers, fractional_parts
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """One realisation of the sequence: exponent, dilate, and scale."""
+    """One realisation of the sequence: exponent, dilate, and scale.
+
+    alpha may be a 1-d array of dilates sharing theta and N: the short-form
+    routines then return one row per (dilate, j) pair, dilate-major.
+    """
 
     theta: float
-    alpha: float
+    alpha: float | np.ndarray
     N: int
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie strictly between 0 and 1")
-        if not 1.0 <= self.alpha <= 2.0:
-            raise ValueError("alpha must lie in [1, 2]")
+        alphas = np.asarray(self.alpha, dtype=np.float64)
+        if alphas.ndim > 1 or not ((alphas >= 1.0) & (alphas <= 2.0)).all():
+            raise ValueError("alpha must be a float or a 1-d array in [1, 2]")
         if self.N < 2:
             raise ValueError("N must be at least 2")
+        if alphas.ndim:
+            object.__setattr__(self, "alpha", alphas)
 
     @property
     def Theta(self) -> float:
@@ -53,34 +60,8 @@ class SequenceSpec:
 
     @property
     def alphas(self) -> np.ndarray:
-        """The dilate as a block of one (see DilateBlock)."""
-        return np.array([self.alpha])
-
-
-@dataclass(frozen=True, eq=False)
-class DilateBlock:
-    """Many dilates sharing theta and N, for the short-form routines.
-
-    Those routines take a block wherever they take a SequenceSpec (a block
-    of one) and return one row per (dilate, j) pair, dilate-major.
-    """
-
-    theta: float
-    alphas: np.ndarray
-    N: int
-
-    def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=np.float64)
-        if alphas.ndim != 1:
-            raise ValueError("alphas must be a 1-d array")
-        SequenceSpec(self.theta, 1.0, self.N)  # checks theta and N
-        if not ((alphas >= 1.0) & (alphas <= 2.0)).all():
-            raise ValueError("alpha must lie in [1, 2]")
-        object.__setattr__(self, "alphas", alphas)
-
-    @property
-    def Theta(self) -> float:
-        return 1.0 / (1.0 - self.theta)
+        """The dilates as a 1-d array: a float alpha as a block of one."""
+        return np.atleast_1d(np.asarray(self.alpha, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -242,6 +223,15 @@ def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
     return E.real ** 2 + E.imag ** 2
 
 
+def _aj_theta(spec, aj):
+    """aj**Theta, aj an array of alpha j; a ValueError where not finite."""
+    with np.errstate(over="ignore"):
+        out = aj ** spec.Theta
+    if not np.isfinite(out).all():
+        raise ValueError(f"(alpha j)**Theta overflows at theta = {spec.theta}")
+    return out
+
+
 def _single(j: int) -> np.ndarray:
     if j < 1:
         raise ValueError("j must be a positive integer")
@@ -250,7 +240,7 @@ def _single(j: int) -> np.ndarray:
 
 def _windows(spec, js: np.ndarray):
     """Inclusive m-windows (lo, hi) and their lengths, one per (dilate, j)
-    pair of spec (a SequenceSpec or a DilateBlock), dilate-major.
+    pair of spec, dilate-major.
 
     The stationary points of the window fall in [N, 2N]; its endpoints
     carry zero weight (h vanishes there), so fuzzy rounding settles ties.
@@ -297,20 +287,13 @@ class _Workspace(NamedTuple):
         idx, xm, amp = raw[cells * ld:].view(np.float64).reshape(3, cells)
         return cls(idx.view(np.int64), xm, amp, raw[:cells * ld].view(LD))
 
-    def e_parts(self, shape) -> tuple[np.ndarray, np.ndarray]:
-        """Float64 rectangles for the real and imaginary parts of e(.),
-        over the index and the long-double phase, which are spent once the
-        phase is reduced."""
-        return (_cells(self.idx, shape, np.float64),
-                _cells(self.ph, shape, np.float64))
-
 
 def _short_terms(spec, h: TestKernel, js: np.ndarray, windows=None,
                  start: int = 0, stop: int | None = None):
     """The stationary-phase terms of the (dilate, j) pairs start..stop-1 of
     spec over js (all of them by default), as a window x pair rectangle.
 
-    spec is a SequenceSpec or a DilateBlock; pair p is the (dilate, j) pair
+    spec may hold many dilates; pair p is the (dilate, j) pair
     (alphas[p // J], js[p % J]) with J = len(js), and windows, when given,
     are _windows(spec, js), optionally followed by a _Workspace of at least
     the rectangle's cells, which the result then views; without one the
@@ -429,7 +412,8 @@ def _short_components(spec, h: TestKernel, js: np.ndarray):
         amp, ph = _short_terms(spec, h, js, windows + (work,), a, b)
         if amp.size:
             # e_frac is looked up at call time, as a wrapper may replace it
-            re, im = e_frac(ph, out=work.e_parts(amp.shape))
+            re, im = e_frac(ph, out=(_cells(work.idx, amp.shape, np.float64),
+                                     _cells(work.ph, amp.shape, np.float64)))
             re *= amp
             sr[a:b] = _column_sums(re)
             im *= amp
@@ -437,7 +421,7 @@ def _short_components(spec, h: TestKernel, js: np.ndarray):
             np.multiply(amp, amp, out=re)
             dg[a:b] = _column_sums(re)
     aj = np.multiply.outer(spec.alphas, js.astype(np.float64)).ravel()
-    pref = abs(bprocess_constants(spec.theta).c1) ** 2 * aj ** spec.Theta
+    pref = abs(bprocess_constants(spec.theta).c1) ** 2 * _aj_theta(spec, aj)
     sr *= sr
     si *= si
     sr += si
@@ -448,6 +432,7 @@ def _short_components(spec, h: TestKernel, js: np.ndarray):
 
 def exp_sum_bprocess(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
     """Short (stationary-phase) form of E_j; 0 when the m-window is empty."""
+    _aj_theta(spec, np.array([spec.alpha * j]))
     amp, ph = _short_terms(spec, h, _single(j))
     c1 = bprocess_constants(spec.theta).c1
     return (c1 * (spec.alpha * j) ** (spec.Theta / 2.0)
@@ -524,7 +509,7 @@ class TildeDecomposition:
 def _tilde_from_values(spec, h: TestKernel, js: np.ndarray,
                        f_values: np.ndarray) -> list[TildeDecomposition]:
     """S~ assembly once the transform values over the band are in hand,
-    one decomposition per dilate of spec (a SequenceSpec or a DilateBlock).
+    one decomposition per dilate of spec.
 
     The sums over j are exactly rounded, all of a block's totals and
     diagonals in one exact_row_sums call, whose numpy loops release the

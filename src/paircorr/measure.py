@@ -16,7 +16,7 @@ import numpy as np
 from . import _pool
 from ._pool import _thread_workers, pmap
 from ._precision import _pow_ld
-from .expsums import (DilateBlock, _band, _short_components,
+from .expsums import (SequenceSpec, _band, _short_components, _single,
                       _tilde_from_values, bprocess_constants)
 from .kernels import (TestKernel, _gl_grid, default_h, default_rho, fourier,
                       integrate)
@@ -203,7 +203,7 @@ def _estimate(vals: np.ndarray, samples: int, seed: int) -> MomentEstimate:
 
 def _per_block(N: int, mu: MuMeasure, samples: int, js: np.ndarray,
                fn) -> np.ndarray:
-    """fn(DilateBlock) over blocks of consecutive samples, its rows joined
+    """fn(SequenceSpec) over blocks of consecutive samples, its rows joined
     in sample order; sample i's dilate is the first draw of substream i.
 
     The samples are cut into at least one block per worker, each of at
@@ -215,7 +215,7 @@ def _per_block(N: int, mu: MuMeasure, samples: int, js: np.ndarray,
     per_block = max(1, _BLOCK_PAIRS // len(js))
     count = max(min(workers, samples), -(-samples // per_block))
     cuts = [i * samples // count for i in range(count + 1)]
-    blocks = [DilateBlock(mu.theta, alphas[a:b], N)
+    blocks = [SequenceSpec(mu.theta, alphas[a:b], N)
               for a, b in zip(cuts[:-1], cuts[1:])]
     return np.concatenate(pmap(fn, blocks, workers))
 
@@ -231,9 +231,9 @@ def second_moment_tilde_e(N: int, j: int, mu: MuMeasure, samples: int = 256,
         raise ValueError("second moments need at least 2 samples")
     if h is None:
         h = default_h()
-    js = np.array([j], dtype=np.int64)
+    js = _single(j)
 
-    def block(b: DilateBlock):
+    def block(b: SequenceSpec):
         abs2, diag, _ = _short_components(b, h, js)
         return np.stack([abs2, diag], axis=1)
 
@@ -256,7 +256,7 @@ def second_moment_roff(N: int, f: TestKernel, h: TestKernel, eps: float,
         return MomentEstimate(0.0, 0.0, samples, mu.seed)
     fv = fourier(f, js / N).real
 
-    def block(b: DilateBlock):
+    def block(b: SequenceSpec):
         return [t.off_diagonal ** 2 for t in _tilde_from_values(b, h, js, fv)]
 
     return _estimate(_per_block(N, mu, samples, js, block), samples, mu.seed)

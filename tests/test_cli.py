@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paircorr
@@ -283,6 +283,19 @@ def test_value_error_inside_run_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, sizes", [
+    ("bprocess", "10"), ("moments", "10"), ("roff-variance", "64,128")])
+def test_theta_near_one_exits_2_without_a_report(tmp_path, capsys,
+                                                  experiment, sizes):
+    # (alpha j)**Theta overflows float64 at Theta = 1000: a named refusal,
+    # not a traceback, NaN in the report or a complaint about the sums
+    out = tmp_path / "out"
+    assert main([experiment, "--theta", "0.999", "--N", sizes,
+                 "--out", str(out)]) == 2
+    assert "theta = 0.999" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_zero_rows_exits_2(tmp_path):
     # theta 0.5, eps 0.05, N 256: no integer u in [0.95, 1.05] * log N
     assert main(["dio", "--eps", "0.05", "--out", str(tmp_path)]) == 2
@@ -460,7 +473,7 @@ def test_config_fuzz_raises_only_config_error(tmp_path_factory, experiment,
 _ANY = (st.integers(-2, 120) | st.floats(-1.0, 2.0) | st.just(float("nan"))
         | st.sampled_from([None, True, "0.5", [2, 3], {}]))
 _RUN_FIELDS = {
-    "theta": st.sampled_from([0.01, 0.3, 0.5, 0.7, 0.99]) | _ANY,
+    "theta": st.sampled_from([0.01, 0.3, 0.5, 0.7, 0.99, 0.999]) | _ANY,
     "eps": st.sampled_from([1e-3, 0.05, 0.1, 0.19, 0.2]) | _ANY,
     "samples": st.sampled_from([2, 100, 101]) | _ANY,
     "bins": st.sampled_from([1, 80, 10_000, 10_001]) | _ANY,
@@ -471,11 +484,18 @@ _RUN_FIELDS = {
 }
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(experiment=st.sampled_from(EXPERIMENTS),
        sizes=st.lists(st.integers(-1, 300), min_size=1, max_size=2),
        fields=st.fixed_dictionaries({}, optional=_RUN_FIELDS),
        unread=st.booleans())
+# (alpha j)**Theta overflows float64 at theta = 0.999
+@example(experiment="moments", sizes=[10], fields={"theta": 0.999},
+         unread=False)
 def test_whole_run_fuzz_keeps_the_exit_code_contract(tmp_path_factory,
                                                      experiment, sizes,
                                                      fields, unread):
@@ -490,5 +510,8 @@ def test_whole_run_fuzz_keeps_the_exit_code_contract(tmp_path_factory,
     rc = main([experiment, "--config", str(cfg),
                "--N=" + ",".join(map(str, sizes)), "--out", str(out / "o")])
     assert rc in (0, 1, 2, 3)
+    report = out / "o" / "report.json"
     if rc == 2:
-        assert not (out / "o" / "report.json").exists()
+        assert not report.exists()
+    if report.exists():
+        json.loads(report.read_text(), parse_constant=_refuse_constant)

@@ -13,8 +13,8 @@ import pytest
 from paircorr import _pool, expsums, stats
 from paircorr._pool import _CHUNK, ResourceGuardError
 from paircorr._precision import _pow_ld, as_ld, csum, e_frac, frac
-from paircorr.expsums import (DilateBlock, SequenceSpec, _band,
-                              _direct_abs2, _index_range, _nufft_abs2,
+from paircorr.expsums import (SequenceSpec, _band, _direct_abs2,
+                              _index_range, _nufft_abs2,
                               _short_components, _short_terms,
                               _tilde_from_values, _windows,
                               bprocess_constants, exp_sum_bprocess,
@@ -561,7 +561,7 @@ def test_tilde_from_values_matches_the_fsum_assembly(f, h, theta, N):
     fv = fourier(f, js / N).real
     rng = np.random.default_rng(N + int(100 * theta))
     for size in (1, 3, 8):
-        block = DilateBlock(theta, rng.uniform(1.0, 2.0, size), N)
+        block = SequenceSpec(theta, rng.uniform(1.0, 2.0, size), N)
         got = _tilde_from_values(block, h, js, fv)
         want = tilde_from_values_fsum(block, h, js, fv)
         assert len(got) == size and got == want
@@ -600,7 +600,7 @@ def test_block_of_dilates_keeps_each_samples_bits(h, theta, N):
     js = np.unique(np.concatenate((
         [1, 2], rng.integers(1, int(N ** 1.1) + 2, size=40))))
     J = len(js)
-    block = DilateBlock(theta, alphas, N)
+    block = SequenceSpec(theta, alphas, N)
     abs2, diag, (lo, hi, lens) = _short_components(block, h, js)
     amp, ph = _short_terms(block, h, js)
     assert abs2.shape == diag.shape == lens.shape == (len(alphas) * J,)
@@ -637,9 +637,9 @@ def _short_cases():
     several dilates with j = 1, whose window is empty, and windows of up to
     a few dozen terms."""
     rng = np.random.default_rng(2026)
-    one = DilateBlock(0.5, np.array([1.37]), 2 ** 12)
-    several = DilateBlock(0.3, np.array([1.0, 1.5, 2.0]), 1000)
-    mixed = DilateBlock(0.7, rng.uniform(1.0, 2.0, 2), 2 ** 12)
+    one = SequenceSpec(0.5, np.array([1.37]), 2 ** 12)
+    several = SequenceSpec(0.3, np.array([1.0, 1.5, 2.0]), 1000)
+    mixed = SequenceSpec(0.7, rng.uniform(1.0, 2.0, 2), 2 ** 12)
     return [(one, _band(2 ** 12, 0.05)),
             (several, np.arange(1, 1200)),
             (mixed, np.unique(rng.integers(1, 2 ** 13, 300)))]
@@ -649,8 +649,8 @@ def _lone_and_long_cases():
     """(block, js) cases beside _short_cases(): a lone pair whose window of
     8 or more terms makes a one-column rectangle, and windows longer than
     _CHUNK (34,452 terms at j = 2**20), alone and between short ones."""
-    lone = DilateBlock(0.5, np.array([1.37]), 2 ** 10)
-    long = DilateBlock(0.7, np.array([2.0, 1.21]), 2 ** 10)
+    lone = SequenceSpec(0.5, np.array([1.37]), 2 ** 10)
+    long = SequenceSpec(0.7, np.array([2.0, 1.21]), 2 ** 10)
     return [(lone, np.array([3000])),
             (long, np.array([2 ** 20])),
             (long, np.array([1, 5, 2 ** 20, 700, 2 ** 19]))]
@@ -661,7 +661,7 @@ def test_short_components_match_the_flat_bincount_oracle(h):
     # the bit, at theta 0.3, 0.5 and 0.7 and N up to 2**14
     cases = _short_cases() + _lone_and_long_cases()
     for theta in (0.3, 0.5, 0.7):
-        block = DilateBlock(theta, np.array([1.0, 1.61, 2.0]), 2 ** 14)
+        block = SequenceSpec(theta, np.array([1.0, 1.61, 2.0]), 2 ** 14)
         cases.append((block, _band(2 ** 14, 0.05)))
     lone = long = empty = False
     for block, js in cases:
@@ -737,7 +737,7 @@ def test_short_components_chunks_share_one_workspace(monkeypatch, h):
         return out
 
     monkeypatch.setattr(expsums, "_short_terms", spy)
-    block = DilateBlock(0.5, np.array([1.37]), 2 ** 14)
+    block = SequenceSpec(0.5, np.array([1.37]), 2 ** 14)
     _short_components(block, h, _band(2 ** 14, 0.05))
     assert len(outs) > 10
     amp0, ph0 = outs[0]
@@ -758,7 +758,7 @@ _SHORT_BYTES_PER_PAIR = 64
 
 
 def test_short_components_peak_is_a_chunk_of_cells(h):
-    block = DilateBlock(0.5, np.array([1.37]), 2 ** 14)
+    block = SequenceSpec(0.5, np.array([1.37]), 2 ** 14)
     js = _band(2 ** 14, 0.05)
     tracemalloc.start()
     try:
@@ -774,9 +774,29 @@ def test_short_components_peak_is_a_chunk_of_cells(h):
 
 def test_block_of_dilates_validation():
     with pytest.raises(ValueError):
-        DilateBlock(0.5, np.array([1.0, 2.5]), 100)
+        SequenceSpec(0.5, np.array([1.0, 2.5]), 100)
     with pytest.raises(ValueError):
-        DilateBlock(1.5, np.array([1.0]), 100)
+        SequenceSpec(1.5, np.array([1.0]), 100)
     with pytest.raises(ValueError):
-        DilateBlock(0.5, np.ones((2, 2)), 100)
+        SequenceSpec(0.5, np.ones((2, 2)), 100)
     assert SequenceSpec(0.5, 1.25, 100).alphas.tolist() == [1.25]
+    # a float alpha stays the float it was; an array becomes float64
+    assert type(SequenceSpec(0.5, 1.25, 100).alpha) is float
+    block = SequenceSpec(0.5, [1, 2], 100)
+    assert block.alpha.dtype == np.float64 and block.alphas is block.alpha
+    with pytest.raises(ValueError):
+        SequenceSpec(0.5, np.array([1.0, 1.5]), 1)
+
+
+def test_theta_near_one_refuses_a_scale_past_float64():
+    # (alpha j)**Theta = 4**1000 at alpha j = 4, theta = 0.999; at j = 1 it
+    # is 2**1000, which float64 holds
+    h = make_bump(1.0, 2.0)
+    spec = SequenceSpec(0.999, 2.0, 10)
+    for j in (2, 3):
+        with pytest.raises(ValueError, match="theta = 0.999"):
+            exp_sum_bprocess(spec, h, j)
+        with pytest.raises(ValueError, match="theta = 0.999"):
+            _short_components(spec, h, np.array([1, j]))
+    assert math.isfinite(abs(exp_sum_bprocess(spec, h, 1)))
+    assert np.isfinite(_short_components(spec, h, np.array([1]))[0]).all()

@@ -195,6 +195,13 @@ def test_second_moment_tilde_e_basics(mu):
     assert est2.samples == 32
 
 
+@pytest.mark.parametrize("j", [0, -1, -10**4])
+def test_second_moment_tilde_e_refuses_non_positive_j(mu, j):
+    # a j below 1 has no short form; it used to average to 0 silently
+    with pytest.raises(ValueError, match="j must be a positive integer"):
+        second_moment_tilde_e(10**4, j, mu, samples=16)
+
+
 @pytest.mark.parametrize("samples", [0, 1])
 def test_second_moment_tilde_e_needs_two_samples(mu, samples):
     # one sample has no standard error, none has no mean
