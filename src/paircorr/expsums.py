@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,12 +36,13 @@ from .stats import _powers, fractional_parts
 class SequenceSpec:
     """One realisation of the sequence: exponent, dilate, and scale.
 
-    alpha may be a 1-d array of dilates sharing theta and N: the short-form
-    routines then return one row per (dilate, j) pair, dilate-major.
+    alpha may be a 1-d array of dilates sharing theta and N, kept as a
+    tuple (specs compare and hash by value), which only the short-form
+    routines take: they return one row per (dilate, j) pair, dilate-major.
     """
 
     theta: float
-    alpha: float | np.ndarray
+    alpha: float | tuple[float, ...]
     N: int
 
     def __post_init__(self):
@@ -52,16 +54,22 @@ class SequenceSpec:
         if self.N < 2:
             raise ValueError("N must be at least 2")
         if alphas.ndim:
-            object.__setattr__(self, "alpha", alphas)
+            object.__setattr__(self, "alpha", tuple(alphas.tolist()))
 
     @property
     def Theta(self) -> float:
         return 1.0 / (1.0 - self.theta)
 
-    @property
+    @cached_property
     def alphas(self) -> np.ndarray:
         """The dilates as a 1-d array: a float alpha as a block of one."""
         return np.atleast_1d(np.asarray(self.alpha, dtype=np.float64))
+
+
+def _one_dilate(spec: SequenceSpec) -> None:
+    """Refuse a block of dilates, which only the short-form routines take."""
+    if np.ndim(spec.alpha):
+        raise ValueError("alpha must be a single dilate here, not a block")
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,7 @@ def _h_window(spec: SequenceSpec, h: TestKernel):
 
 def exp_sum_direct(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
     """E_j by direct summation over the support of h(./N)."""
+    _one_dilate(spec)
     hw, w = _h_window(spec, h)
     return csum(hw * e_frac(frac(as_ld(spec.alpha) * j * w)))
 
@@ -221,15 +230,6 @@ def _nufft_abs2(spec: SequenceSpec, h: TestKernel, j_max: int) -> np.ndarray:
     Fw, Flo = (rfft(spread(s))[1:j_max + 1] * deconv for s in (w, w * lo))
     E = Fw - (2j * math.pi) * js * Flo
     return E.real ** 2 + E.imag ** 2
-
-
-def _aj_theta(spec, aj):
-    """aj**Theta, aj an array of alpha j; a ValueError where not finite."""
-    with np.errstate(over="ignore"):
-        out = aj ** spec.Theta
-    if not np.isfinite(out).all():
-        raise ValueError(f"(alpha j)**Theta overflows at theta = {spec.theta}")
-    return out
 
 
 def _single(j: int) -> np.ndarray:
@@ -401,6 +401,11 @@ def _short_components(spec, h: TestKernel, js: np.ndarray):
     ufunc loops, which release the interpreter lock, so the calls of
     measure's pool threads overlap; each call has its own workspace.
     """
+    aj = np.multiply.outer(spec.alphas, js.astype(np.float64)).ravel()
+    with np.errstate(over="ignore"):
+        ajt = aj ** spec.Theta
+    if not np.isfinite(ajt).all():
+        raise ValueError(f"(alpha j)**Theta overflows at theta = {spec.theta}")
     windows = _windows(spec, js)
     lens = windows[2]
     P = lens.size
@@ -420,8 +425,7 @@ def _short_components(spec, h: TestKernel, js: np.ndarray):
             si[a:b] = _column_sums(im)
             np.multiply(amp, amp, out=re)
             dg[a:b] = _column_sums(re)
-    aj = np.multiply.outer(spec.alphas, js.astype(np.float64)).ravel()
-    pref = abs(bprocess_constants(spec.theta).c1) ** 2 * _aj_theta(spec, aj)
+    pref = abs(bprocess_constants(spec.theta).c1) ** 2 * ajt
     sr *= sr
     si *= si
     sr += si
@@ -432,11 +436,16 @@ def _short_components(spec, h: TestKernel, js: np.ndarray):
 
 def exp_sum_bprocess(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
     """Short (stationary-phase) form of E_j; 0 when the m-window is empty."""
-    _aj_theta(spec, np.array([spec.alpha * j]))
+    _one_dilate(spec)
     amp, ph = _short_terms(spec, h, _single(j))
+    try:
+        # math.pow raises on overflow for a numpy alpha too
+        scale = math.pow(spec.alpha * j, spec.Theta / 2.0)
+    except OverflowError:
+        raise ValueError("(alpha j)**(Theta/2) overflows at "
+                         f"theta = {spec.theta}") from None
     c1 = bprocess_constants(spec.theta).c1
-    return (c1 * (spec.alpha * j) ** (spec.Theta / 2.0)
-            * csum(amp[:, 0] * e_frac(ph[:, 0])))
+    return c1 * scale * csum(amp[:, 0] * e_frac(ph[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -479,6 +488,7 @@ def s_sum(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     cells (64 at least) and their transforms, about 64 (j_max + 1) bytes
     each.
     """
+    _one_dilate(spec)
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     if j_max == 0:
@@ -530,6 +540,7 @@ def _tilde_from_values(spec, h: TestKernel, js: np.ndarray,
 def s_tilde_parts(spec: SequenceSpec, f: TestKernel, h: TestKernel,
                   eps: float = 0.05) -> TildeDecomposition:
     """Assemble S~ over the band j in [N^(1-eps), N^(1+eps)] spectrally."""
+    _one_dilate(spec)
     js = _band(spec.N, eps)
     if js.size == 0:
         return TildeDecomposition(0.0, 0.0, 0.0, 0, -1)
@@ -553,6 +564,7 @@ def pair_corr_smooth(spec: SequenceSpec, f: TestKernel, h: TestKernel,
     the number of contributing pairs, not with N^2.
     method "brute" forces the quadratic reference evaluation.
     """
+    _one_dilate(spec)
     if method not in ("auto", "brute"):
         raise ValueError("method must be 'auto' or 'brute'")
     ys = _index_range(spec, h)

@@ -296,6 +296,17 @@ def test_theta_near_one_exits_2_without_a_report(tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
+def test_bprocess_at_theta_0_99_runs(tmp_path):
+    # j reaches about 2000 at N = 1000, so (alpha j)**Theta overflows
+    # float64 but (alpha j)**(Theta/2), all the short form takes, does not
+    out = tmp_path / "out"
+    assert main(["bprocess", "--theta", "0.99", "--N", "1000",
+                 "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert len(rows) == 10
+    assert all(np.isfinite(r["value"]) for r in rows)
+
+
 def test_zero_rows_exits_2(tmp_path):
     # theta 0.5, eps 0.05, N 256: no integer u in [0.95, 1.05] * log N
     assert main(["dio", "--eps", "0.05", "--out", str(tmp_path)]) == 2

@@ -782,20 +782,43 @@ def test_block_of_dilates_validation():
     assert SequenceSpec(0.5, 1.25, 100).alphas.tolist() == [1.25]
     # a float alpha stays the float it was; an array becomes float64
     assert type(SequenceSpec(0.5, 1.25, 100).alpha) is float
+    # a block keeps its dilates as a tuple of floats, so specs compare and
+    # hash by value
     block = SequenceSpec(0.5, [1, 2], 100)
-    assert block.alpha.dtype == np.float64 and block.alphas is block.alpha
+    assert block.alpha == (1.0, 2.0) and block.alphas.dtype == np.float64
+    same = SequenceSpec(0.5, np.array([1.0, 2.0]), 100)
+    assert block == same and hash(block) == hash(same)
+    assert block != SequenceSpec(0.5, np.array([1.0, 1.5]), 100)
     with pytest.raises(ValueError):
         SequenceSpec(0.5, np.array([1.0, 1.5]), 1)
 
 
+def test_public_entry_points_refuse_a_block_of_dilates(h):
+    f = make_bump(-1.0, 1.0)
+    block = SequenceSpec(0.5, np.array([1.2, 1.7]), 64)
+    for call in (lambda: exp_sum_direct(block, h, 3),
+                 lambda: exp_sum_bprocess(block, h, 3),
+                 lambda: exp_sum_pair(block, h, 3),
+                 lambda: s_sum(block, f, h, 8),
+                 lambda: s_tilde_parts(block, f, h),
+                 lambda: pair_corr_smooth(block, f, h)):
+        with pytest.raises(ValueError, match="single dilate"):
+            call()
+
+
 def test_theta_near_one_refuses_a_scale_past_float64():
-    # (alpha j)**Theta = 4**1000 at alpha j = 4, theta = 0.999; at j = 1 it
-    # is 2**1000, which float64 holds
+    # at theta = 0.999, Theta = 1000: exp_sum_bprocess takes
+    # (alpha j)**(Theta/2), which float64 holds at alpha j = 4 (2**1000)
+    # but not at 6; _short_components takes (alpha j)**Theta, past float64
+    # at alpha j = 4 and held at 2
     h = make_bump(1.0, 2.0)
     spec = SequenceSpec(0.999, 2.0, 10)
+    # the window of j = 2 is empty
+    assert exp_sum_bprocess(spec, h, 2) == 0
+    with pytest.raises(ValueError, match="theta = 0.999"):
+        exp_sum_bprocess(spec, h, 3)
+    assert _short_components(spec, h, np.array([1]))[0].tolist() == [0.0]
     for j in (2, 3):
-        with pytest.raises(ValueError, match="theta = 0.999"):
-            exp_sum_bprocess(spec, h, j)
         with pytest.raises(ValueError, match="theta = 0.999"):
             _short_components(spec, h, np.array([1, j]))
     assert math.isfinite(abs(exp_sum_bprocess(spec, h, 1)))
