@@ -77,12 +77,14 @@ def _out(out, shape):
 def frac(x, out=None):
     """Fractional part in [0, 1], computed in long double, returned as float64.
 
-    x is an array of one or more dimensions; a 0-d one is not taken.  The
+    x is an array of one or more dimensions (0-d raises ValueError).  The
     same bits as (x - floor(x)).astype(float64), 1.0 included: a tiny
     negative x rounds x - floor(x) up to 1.  With out, a float64 array of
     x's shape, the result is written there and out is returned.
     """
     x = as_ld(x)
+    if x.ndim == 0:
+        raise ValueError("frac takes arrays of one or more dimensions")
     out = np.empty(x.shape) if out is None else _out(out, x.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         # float64 rounds the range test outwards only near 2**63, where the
@@ -131,7 +133,7 @@ _COS, _SIN = _turn_table()
 
 def e_frac(fr, out=None):
     """e(x) = exp(2 pi i x) for an array of arguments already reduced to
-    [0, 1], of one or more dimensions; a 0-d one is not taken.
+    [0, 1], of one or more dimensions (0-d raises ValueError).
 
     Write x = (k + r) / 1024 with k = trunc(1024 x) and r = 1024 x - k,
     both exact (the scale only moves the exponent).  Then
@@ -150,6 +152,8 @@ def e_frac(fr, out=None):
     returned; no complex array is built.
     """
     fr = np.asarray(fr, dtype=np.float64)
+    if fr.ndim == 0:
+        raise ValueError("e_frac takes arrays of one or more dimensions")
     if out is None:
         re, im = e_frac(fr, out=(np.empty(fr.shape), np.empty(fr.shape)))
         e = np.empty(fr.shape, np.complex128)

@@ -209,18 +209,19 @@ def _row(op: str, seed: int, inputs: dict, x: float, value: float,
             "ratio": float(ratio), "pass": bool(ok)}
 
 
-def _alphas(cfg: ExperimentConfig, mu: MuMeasure) -> list[float]:
+def _alphas(cfg: ExperimentConfig) -> list[float]:
     if cfg.alpha_mode == "fixed":
         return [float(cfg.alpha)]
+    mu = MuMeasure(cfg.theta, seed=cfg.seed)
     return [float(a) for a in mu.sample_alphas(cfg.alpha_count, substream=0)]
 
 
 def _run_paircorr(cfg: ExperimentConfig) -> list[dict]:
-    mu = MuMeasure(cfg.theta, seed=cfg.seed)
     tol = cfg.tol("pair_corr_rel")
+    alphas = _alphas(cfg)
     rows = []
     for N in cfg.resolve_N():
-        for alpha in _alphas(cfg, mu):
+        for alpha in alphas:
             ps = fractional_parts(cfg.theta, alpha, N + 1, 2 * N,
                                   exclude_squares=cfg.exclude_squares)
             for s in (0.5, 1.0, 2.0):
@@ -234,10 +235,10 @@ def _run_paircorr(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_gaps(cfg: ExperimentConfig) -> list[dict]:
-    mu = MuMeasure(cfg.theta, seed=cfg.seed)
+    alphas = _alphas(cfg)
     rows = []
     for N in cfg.resolve_N():
-        for alpha in _alphas(cfg, mu):
+        for alpha in alphas:
             ps = fractional_parts(cfg.theta, alpha, 1, N,
                                   exclude_squares=cfg.exclude_squares)
             g = gap_distribution(ps, bins=cfg.bins)

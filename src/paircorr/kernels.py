@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import _pool
 from ._precision import e_frac
@@ -28,21 +27,9 @@ class DegenerateKernelError(KernelError):
     """Normalisation was requested for a kernel without positive mass."""
 
 
-_GL_ORDER = 16
-_GL_X, _GL_W = leggauss(_GL_ORDER)
-# nodes per unit of support in integrate's Gauss-Legendre rule and in the
-# Fourier transform's trapezoid rule (which may take more for its band)
+# nodes per unit of support in the trapezoid rule of every integral and
+# transform (which may take more for its band or a narrow support)
 _NODES_PER_UNIT = 4096
-
-
-def _gl_grid(lo: float, hi: float, panels: int):
-    """Composite Gauss-Legendre rule: `panels` equal panels of 16 nodes."""
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (hi - lo) / panels
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    weights = np.tile(half * _GL_W, panels)
-    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -129,13 +116,12 @@ def make_bump(lo: float = -1.0, hi: float = 1.0) -> TestKernel:
 
 
 def integrate(kernel: TestKernel, weight: Callable | None = None) -> float:
-    """Integral of kernel(x) * weight(x) over the support."""
-    panels = max(1, math.ceil(kernel.width * _NODES_PER_UNIT / _GL_ORDER))
-    nodes, wts = _gl_grid(kernel.support_lo, kernel.support_hi, panels)
-    vals = kernel(nodes)
+    """Integral of kernel(x) * weight(x) over the support: the transform of
+    their product at frequency 0."""
     if weight is not None:
-        vals = vals * weight(nodes)
-    return float(np.dot(vals, wts))
+        kernel = TestKernel(kernel.support_lo, kernel.support_hi,
+                            lambda x, _k=kernel: _k(x) * weight(x))
+    return fourier(kernel, 0.0).real
 
 
 def normalize_rho(kernel: TestKernel) -> TestKernel:
@@ -166,11 +152,11 @@ class FourierTable:
     the kernel vanishes with every derivative at its ends.  P is
     _NODES_PER_UNIT, doubled while below 16 times ``max_abs_freq`` or while
     the support holds under 512 nodes (a bump on 40 nodes errs by 3e-6);
-    a byte guard refuses nodes past the memory budget before any is built,
-    and asking beyond the band raises.  On a lattice j / N, with L = N P,
-    Bluestein's jk = (j^2 + k^2 - (j - k)^2) / 2 makes the sum one FFT
-    convolution of chirps e(-m^2 / (2L)), m^2 mod 2L exact in int64; any
-    other input is summed directly.
+    byte guards refuse nodes or exponentials past the memory budget before
+    any is built, and asking beyond the band raises.  On a lattice j / N,
+    with L = N P, Bluestein's jk = (j^2 + k^2 - (j - k)^2) / 2 makes the sum
+    one FFT convolution of chirps e(-m^2 / (2L)), m^2 mod 2L exact in int64;
+    any other input is summed directly.
     """
 
     def __init__(self, kernel: TestKernel, max_abs_freq: float):
@@ -190,8 +176,13 @@ class FourierTable:
         self._wvals = kernel(self._nodes) / P
 
     def _direct(self, xs: np.ndarray) -> np.ndarray:
+        K = self._nodes.size
+        rows = max(1, _BLOCK // K)
+        # bounds the peak under tracemalloc: 32 bytes a node for the table and
+        # the phases, 48 a cell for a block's exponentials and products
+        _pool.guard(32 * K + 48 * min(rows, xs.size) * K,
+                    f"bytes for a {K}-node direct sum")
         out = np.empty(xs.size, dtype=np.complex128)
-        rows = max(1, _BLOCK // self._nodes.size)
         phase = -2j * np.pi * self._nodes
         for i in range(0, xs.size, rows):
             blk = np.exp(np.multiply.outer(xs[i:i + rows], phase))

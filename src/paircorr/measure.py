@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _pool
 from ._pool import _thread_workers, pmap
 from ._precision import _pow_ld
 from .expsums import (SequenceSpec, _band, _short_components, _single,
                       _tilde_from_values, bprocess_constants)
-from .kernels import (TestKernel, _gl_grid, default_h, default_rho, fourier,
-                      integrate)
+from .kernels import TestKernel, default_h, default_rho, fourier, integrate
 
 
 class MeasureError(Exception):
@@ -34,11 +32,6 @@ _FIRST_ROUND = 64
 # at most _pool._CHUNK cells, so no block sets the peak memory; blocks of
 # 2**15 pairs raised the mc-variance peak from 128 to 131 MB (2-vCPU x86).
 _BLOCK_PAIRS = 1 << 13
-# quadrature panels per oscillation period of osc_integral_single's phase
-_NODE_FACTOR = 8
-# peak bytes a panel of 16 quadrature nodes holds in osc_integral_single: 64
-# a node for the grid, the amplitude and the phases (64.0 under tracemalloc)
-_BYTES_PER_PANEL = 16 * 64
 
 
 @dataclass
@@ -137,20 +130,13 @@ class MuMeasure:
         return out
 
     def _accept_rate(self) -> float:
-        width = self.rho.support_hi - self.rho.support_lo
-        return 1.0 / (width * self._pdf_max)
+        return 1.0 / (self.rho.width * self._pdf_max)
 
 
 def _stationary_scale(theta: float, N: int, j: int, m) -> np.ndarray:
     """x~ = (theta j / m)^Theta / N, so the window weight reads h(beta x~)."""
     Theta = 1.0 / (1.0 - theta)
     return (theta * float(j) / np.asarray(m, dtype=np.float64)) ** Theta / N
-
-
-def _osc_panels(lo: float, hi: float, freq: float):
-    panels = max(16, int(np.ceil(_NODE_FACTOR * abs(freq) * (hi - lo))))
-    _pool.guard(panels * _BYTES_PER_PANEL, f"bytes for {panels} panels")
-    return _gl_grid(lo, hi, panels)
 
 
 def osc_integral_single(N: int, j: int, m: int, n: int, mu: MuMeasure,
@@ -164,24 +150,23 @@ def osc_integral_single(N: int, j: int, m: int, n: int, mu: MuMeasure,
     since the alpha^Theta weight cancels the 1/beta of the measure.  For
     m = n the phase drops out and I is real and nonnegative; for m != n the
     frequency is large for every admissible window and I decays faster than
-    any power of N.  When no beta in supp rho has both windows open the
-    integrand vanishes identically and I = 0 is returned with no grid.
+    any power of N.  I is the transform at -freq of the integrand on the
+    betas where rho and both windows are open, or 0 with no table if none.
     """
     if h is None:
         h = default_h()
     theta, Theta = mu.theta, mu.Theta
     xm = float(_stationary_scale(theta, N, j, m))
     xn = float(_stationary_scale(theta, N, j, n))
-    if (max(mu.rho.support_lo, h.support_lo / xm, h.support_lo / xn)
-            >= min(mu.rho.support_hi, h.support_hi / xm, h.support_hi / xn)):
+    lo = max(mu.rho.support_lo, h.support_lo / xm, h.support_lo / xn)
+    hi = min(mu.rho.support_hi, h.support_hi / xm, h.support_hi / xn)
+    if lo >= hi:
         return 0j
     c2 = bprocess_constants(theta).c2
-    z = float(_pow_ld(np.array([m]), 1.0 - Theta)[0]
-              - _pow_ld(np.array([n]), 1.0 - Theta)[0])
+    z = float(np.subtract(*_pow_ld(np.array([m, n]), 1.0 - Theta)))
     freq = c2 * float(j) ** Theta * z
-    nodes, wts = _osc_panels(mu.rho.support_lo, mu.rho.support_hi, freq)
-    amp = mu.rho(nodes) * h(nodes * xm) * h(nodes * xn)
-    return complex(np.dot(amp * wts, np.exp(2j * np.pi * freq * nodes)))
+    g = TestKernel(lo, hi, lambda b: mu.rho(b) * h(b * xm) * h(b * xn))
+    return fourier(g, -freq)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ The module is the home of every evaluation that only tests call:
 - alpha_range, cdf_alpha and quad, the support, distribution function and
   quadrature expectation of a MuMeasure;
 - osc_integral_vec and diagonal_w_term;
+- gl_grid, a composite Gauss-Legendre rule from numpy.polynomial.legendre,
+  which quad and osc_integral_vec integrate with: the library integrates
+  by the trapezoid rule of kernels.FourierTable alone, so these oracles
+  share no quadrature with the code they check;
 - pair_corr_count_concat, the sweep over a doubled array that
   stats.pair_corr_count is checked against.
 """
@@ -30,15 +34,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from paircorr._precision import LD, _pow_ld, as_ld, e_frac, frac
 from paircorr.beurling import BeurlingSelberg
 from paircorr.diophantine import DioInstance, ZMultiset, _products, build_zset
 from paircorr.expsums import (SequenceSpec, TildeDecomposition, _band,
                               _short_components, _windows, bprocess_constants)
-from paircorr.kernels import (_GL_ORDER, FourierTable, _gl_grid, default_h,
-                              integrate)
-from paircorr.measure import MuMeasure, _osc_panels, _stationary_scale
+from paircorr.kernels import FourierTable, default_h, integrate
+from paircorr.measure import MuMeasure, _stationary_scale
+
+_GL_X, _GL_W = leggauss(16)
+# Gauss-Legendre panels per oscillation period in osc_integral_vec
+_NODE_FACTOR = 8
+
+
+def gl_grid(lo: float, hi: float, panels: int):
+    """Composite Gauss-Legendre rule: `panels` equal panels of 16 nodes."""
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (hi - lo) / panels
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mids[:, None] + half * _GL_X[None, :]).ravel()
+    return nodes, np.tile(half * _GL_W, panels)
 
 
 def e(ph):
@@ -224,7 +241,9 @@ def osc_integral_vec(N, j1, j2, m1, n1, m2, n2, mu, h=None) -> complex:
               _stationary_scale(theta, N, j1, n1),
               _stationary_scale(theta, N, j2, m2),
               _stationary_scale(theta, N, j2, n2)]
-    nodes, wts = _osc_panels(mu.rho.support_lo, mu.rho.support_hi, freq)
+    lo, hi = mu.rho.support_lo, mu.rho.support_hi
+    panels = max(16, math.ceil(_NODE_FACTOR * abs(freq) * (hi - lo)))
+    nodes, wts = gl_grid(lo, hi, panels)
     amp = nodes * mu.rho(nodes)
     for s in scales:
         amp = amp * h(nodes * s)
@@ -396,7 +415,7 @@ def quad(mu: MuMeasure, g) -> float:
     """Quadrature expectation int g(alpha) dmu(alpha), in beta variables,
     by composite Gauss-Legendre at 8192 nodes per unit of rho's support."""
     rho = mu.rho
-    panels = max(1, math.ceil(rho.width * 8192 / _GL_ORDER))
-    nodes, wts = _gl_grid(rho.support_lo, rho.support_hi, panels)
+    panels = max(1, math.ceil(rho.width * 8192 / 16))
+    nodes, wts = gl_grid(rho.support_lo, rho.support_hi, panels)
     vals = rho(nodes) * (np.asarray(g(nodes ** (1.0 / mu.Theta))) / nodes)
     return float(np.dot(vals, wts))

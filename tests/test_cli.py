@@ -217,6 +217,27 @@ def test_moments_run_replays_the_draws_once(monkeypatch):
                 == np.array([est.value, est.stderr]).tobytes())
 
 
+@pytest.mark.parametrize("experiment", ["gaps", "paircorr"])
+def test_only_sampled_alphas_build_a_measure(monkeypatch, experiment):
+    # a fixed alpha reads no measure; sampled alphas build one per run,
+    # drawn once for every N, with the draws of a measure of their own
+    made = []
+    monkeypatch.setattr(cli, "MuMeasure", lambda *args, **kwargs: (
+        made.append(kwargs), MuMeasure(*args, **kwargs))[1])
+    run = cli._EXPERIMENTS[experiment].runner
+    for mode in ("fixed", "sample"):
+        cfg = ExperimentConfig(experiment=experiment, theta=0.5, seed=4,
+                               N_list=[500, 700], alpha_mode=mode,
+                               alpha_count=2)
+        cfg.validate()
+        alphas = {(r["inputs"]["N"], r["inputs"]["alpha"]) for r in run(cfg)}
+        if mode == "fixed":
+            assert made == [] and alphas == {(500, 1.0), (700, 1.0)}
+    assert made == [{"seed": 4}]
+    draws = MuMeasure(0.5, seed=4).sample_alphas(2, substream=0).tolist()
+    assert alphas == {(N, a) for N in (500, 700) for a in draws}
+
+
 def test_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"theta": 0.4, "seed": 1, "N_list": [2048]}))

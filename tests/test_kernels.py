@@ -115,6 +115,23 @@ def test_integrate_against_trapezoid_oracle():
     assert integrate(g) == pytest.approx(oracle, abs=1e-10)
 
 
+def _bump_integral(lo, hi):
+    """int of make_bump(lo, hi) to 30 digits: (hi - lo) / 2 times the
+    integral of exp(-1 / (1 - u^2)) over (-1, 1), the float ends exact."""
+    with mpmath.workdps(30):
+        unit = mpmath.quad(lambda u: mpmath.exp(-1 / (1 - u * u)), [-1, 0, 1])
+        return (mpmath.mpf(hi) - mpmath.mpf(lo)) / 2 * unit
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e-3), (1.0, 1.001), (0.0, 1e-4),
+                                    (-1.0, 1.0), (1.0, 2.0)])
+def test_integrate_bumps_against_mpmath(lo, hi):
+    # the narrow supports took one 16-node Gauss-Legendre panel, 1e-5 off;
+    # (-1, 1) and (1, 2) are the default f and h
+    want = _bump_integral(lo, hi)
+    assert abs(integrate(make_bump(lo, hi)) - want) <= 1e-15 * want
+
+
 def test_normalize_rho_contract():
     rho = default_rho()
     mass = integrate(rho, weight=lambda x: 1.0 / x)
@@ -314,6 +331,37 @@ def test_fourier_table_guard_refuses_a_band_before_its_nodes(monkeypatch):
     monkeypatch.setattr(_pool, "_memory_budget", lambda: 32 * 8191 - 1)
     with pytest.raises(ResourceGuardError, match="need 262112, "):
         FourierTable(default_f(), 64.0)
+
+
+def test_direct_sum_guard_counts_its_exponentials(monkeypatch):
+    # one frequency on 262,143 nodes: a single row, whose phases,
+    # exponentials and products peak at 64.5 bytes a node with the table,
+    # where the table's own guard counts 32
+    table = FourierTable(default_f(), 5000.0)
+    K = table._nodes.size
+    assert K == 262143
+    need = 80 * K
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError,
+                           match=f"-node direct sum: need {need}, "):
+            table.values(np.array([5000.0]))
+        refused = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused < 64 * 1024
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
+    want = table.values(np.array([5000.0]))
+    del table
+    tracemalloc.start()
+    try:
+        got = fourier(default_f(), 5000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == complex(want[0])
+    assert 32 * K < peak <= need
 
 
 def test_fourier_table_check5_peak_is_within_its_guard():

@@ -2,17 +2,20 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from paircorr import _pool, expsums, measure
+from paircorr import _pool, expsums, kernels, measure
 from paircorr._pool import ResourceGuardError
 from paircorr._precision import as_ld
 from paircorr.expsums import _band, bprocess_constants
 from paircorr.kernels import FourierTable, default_h, make_bump
-from paircorr.measure import (MeasureError, MuMeasure, osc_integral_single,
-                              second_moment_roff, second_moment_tilde_e)
+from paircorr.measure import (MeasureError, MuMeasure, _stationary_scale,
+                              osc_integral_single, second_moment_roff,
+                              second_moment_tilde_e)
 
+import oracles
 from oracles import (alpha_range, cdf_alpha, moments_per_sample,
                      osc_integral_vec, quad)
 
@@ -81,32 +84,64 @@ def test_osc_single_vanishes_off_window(mu):
     assert osc_integral_vec(200, 250, 260, 1, 2, 1, 3, mu) == 0.0
 
 
-def test_osc_single_off_window_builds_no_grid(monkeypatch):
-    # x~_3 and x~_5 put both h windows far below beta = 1: the grid would
-    # have had 2.2e9 panels, a 16 GiB request
+def test_osc_single_off_window_builds_no_grid(monkeypatch, mu):
+    # x~_3 and x~_5 put both h windows far below beta = 1: at the phase's
+    # frequency, 2.7e8, a table would take 8.6e9 nodes a unit of support
     calls = []
-    monkeypatch.setattr(measure, "_gl_grid",
-                        lambda *args: calls.append(args))
+    original = measure.fourier
+    monkeypatch.setattr(measure, "fourier", lambda *args: (
+        calls.append(args), original(*args))[1])
     assert osc_integral_single(1000, 1500, 3, 5, MuMeasure(0.7)) == 0j
     assert calls == []
+    # in-window: one transform
+    assert osc_integral_single(200, 250, 7, 9, mu) != 0j
+    assert len(calls) == 1
 
 
 def test_osc_single_past_the_memory_budget_is_refused(monkeypatch, mu):
     # in-window: 7 and 9 are stationary points of j = 250 at N = 200
     want = osc_integral_single(200, 250, 7, 9, mu)
     assert want != 0j
-    panels = []
-    original = measure._gl_grid
-    monkeypatch.setattr(measure, "_gl_grid", lambda lo, hi, p: (
-        panels.append(p), original(lo, hi, p))[1])
+    tables = []
+
+    class Spy(kernels.FourierTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(kernels, "FourierTable", Spy)
     osc_integral_single(200, 250, 7, 9, mu)
-    need = panels[0] * measure._BYTES_PER_PANEL
-    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
-    with pytest.raises(ResourceGuardError, match=f"need {need}, "):
-        osc_integral_single(200, 250, 7, 9, mu)
-    assert len(panels) == 1
-    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
+    # FourierTable's count: 32 bytes a node for the table, and 80 for the
+    # direct sum of its one frequency
+    K = tables[0]._nodes.size
+    for need, what in ((32 * K, "-node Fourier table"),
+                       (80 * K, "-node direct sum")):
+        monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+        with pytest.raises(ResourceGuardError,
+                           match=f"{what}: need {need}, "):
+            osc_integral_single(200, 250, 7, 9, mu)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: 80 * K)
     assert osc_integral_single(200, 250, 7, 9, mu) == want
+    # the refused table was never built
+    assert len(tables) == 3
+
+
+def test_osc_single_diagonal_against_mpmath(mu):
+    # int rho(b) h(b x)^2 db over (1, 2 / x), x = x~_5 = 1.62 at j = 180;
+    # the Gauss-Legendre rule on rho's support was 6.4e-11 off
+    x = float(_stationary_scale(0.5, 200, 180, 5))
+    with mpmath.workdps(30):
+        def bump(b, lo, hi):
+            u = (2 * b - lo - hi) / (hi - lo)
+            return mpmath.exp(-1 / (1 - u * u)) if abs(u) < 1 else 0
+
+        mass = mpmath.quad(lambda b: bump(b, 1, 2) / b, [1, 1.5, 2])
+        top = 2 / mpmath.mpf(x)
+        want = mpmath.quad(lambda b: bump(b, 1, 2) * bump(b * x, 1, 2) ** 2,
+                           [1, (1 + top) / 2, top]) / mass
+    got = osc_integral_single(200, 180, 5, 5, mu)
+    assert got.imag == 0.0
+    assert abs(got.real - want) <= 1e-14 * want
 
 
 def test_osc_single_decay_for_off_diagonal(mu):
@@ -155,7 +190,9 @@ def test_osc_vec_empirical_envelope(mu):
 def test_osc_quadrature_stability(monkeypatch, mu):
     a = osc_integral_single(200, 250, 7, 9, mu)
     c = osc_integral_vec(200, 211, 223, 6, 8, 7, 9, mu)
-    monkeypatch.setattr(measure, "_NODE_FACTOR", 16)
+    monkeypatch.setattr(kernels, "_NODES_PER_UNIT",
+                        2 * kernels._NODES_PER_UNIT)
+    monkeypatch.setattr(oracles, "_NODE_FACTOR", 2 * oracles._NODE_FACTOR)
     b = osc_integral_single(200, 250, 7, 9, mu)
     d = osc_integral_vec(200, 211, 223, 6, 8, 7, 9, mu)
     assert abs(a - b) < 1e-8

@@ -125,10 +125,10 @@ def test_paper_phases_against_mpmath():
             y = int(rng.integers(1, 10**6))
             j_max = int(1e12 / (alpha * y ** theta))
             j = int(rng.integers(1, max(2, j_max)))
-            x = as_ld(alpha) * LD(j) * np.power(LD(y), LD(theta))
+            x = as_ld([alpha]) * LD(j) * np.power(LD(y), LD(theta))
             exact = (mpmath.mpf(alpha) * j
                      * mpmath.power(y, mpmath.mpf(theta)))
-            d = abs(mpmath.mpf(float(frac(x))) - mpmath.frac(exact))
+            d = abs(mpmath.mpf(float(frac(x)[0])) - mpmath.frac(exact))
             d = min(d, 1 - d)
             assert float(d) <= 4 * 2.0 ** -63 * float(exact) + 2.0 ** -53
 
@@ -238,6 +238,23 @@ def test_out_of_the_wrong_shape_or_dtype_raises():
             e_frac(x, out=(out, np.empty(6)))
         with pytest.raises(ValueError):
             e_frac(x, out=(np.empty(6), out))
+
+
+def test_scalars_and_0d_arrays_raise_one_value_error():
+    # the 0-d forms once returned a 0-d array, or failed inside numpy with
+    # a TypeError that did not name the contract
+    for x in (as_ld(2.75), as_ld(-2.75), 2.75, LD(-2.75)):
+        with pytest.raises(ValueError, match="frac takes arrays of one or "
+                                             "more dimensions"):
+            frac(x)
+        with pytest.raises(ValueError, match="frac takes arrays"):
+            frac(x, out=np.empty(()))
+    for fr in (0.25, np.float64(0.25), np.array(0.25)):
+        with pytest.raises(ValueError, match="e_frac takes arrays of one or "
+                                             "more dimensions"):
+            e_frac(fr)
+        with pytest.raises(ValueError, match="e_frac takes arrays"):
+            e_frac(fr, out=(np.empty(()), np.empty(())))
 
 
 # the inline rounding of _windows, _band and dio_instance before iceil and
