@@ -14,8 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 # elements per pool job of long-double work: 2**15 long doubles are 512 kB.
 # Each pool thread keeps its own chunk temporaries, and its malloc arena
 # keeps them once freed.  On two threads (2-vCPU x86) point-stats peaked
-# 3 MB above the serial build, and 5 MB with 2**16; direct sums in 2**18
-# chunks raised the exact-sums peak from 142 to 159 MB, in 2**15 not at all.
+# 3 MB above the serial build, and 5 MB with 2**16.
 _CHUNK = 2 ** 15
 
 

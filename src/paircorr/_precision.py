@@ -7,25 +7,10 @@ fractional part.  Every reduction here goes through the platform long double
 float64 circle arithmetic.  LD_NMANT records the long double's mantissa
 bits; the runner refuses to start when it is below 63.
 
-``frac`` reduces exactly and returns the bits of
-``(x - floor(x)).astype(float64)`` without calling the long-double floor
-(``floorl``, several times the cost of the rest) on the common path:
-
-- cast to int64, which truncates toward zero, and take ``r = x - trunc(x)``;
-  for |x| < 2**63 this difference is exact in any binary format;
-- add 1 where ``r < 0``, and only there: for a negative non-integer,
-  ``x - floor(x)`` and ``r + 1`` are the same exact value rounded once, so
-  the bits agree;
-- add 0 to the float64 result, which turns the ``-0.0`` that ``-0.0 - 0``
-  gives into the ``+0.0`` of ``x - floor(x)``;
-- skip both steps when every x, rounded to float64, is above 0: then no
-  remainder is negative or ``-0.0`` (a tiny negative x rounds to ``-0.0``,
-  which fails the test);
-- only elements with |x| >= 2**63, infinities and NaN, which int64 cannot
-  hold, go through ``x - floor(x)``.  Past 2**63 a long double need not be
-  an integer (113-bit quad on aarch64), so they are not assumed to be.
-  They are found by a range test on x rounded to float64, not by the value
-  an out-of-range cast returns, which differs between platforms.
+``frac`` reduces a phase in [0, 2**63), the only kind the library forms,
+as ``x - trunc(x)`` through int64, exact for x >= 0 (Sterbenz): the bits of
+``(x - floor(x)).astype(float64)`` without the long-double floor, several
+times the cost of the rest.  It refuses any other input.
 
 ``e_frac`` evaluates e(x) = exp(2 pi i x) from a table of the 1024 turns
 e(k / 1024) and a short series in the rest of the turn, in float64; it is
@@ -48,7 +33,6 @@ import numpy as np
 LD = np.longdouble
 LD_NMANT = int(np.finfo(LD).nmant)
 TWO_PI = 2.0 * math.pi
-_TWO_63 = 2.0 ** 63
 # values in one bucket of exact_row_sums: 2**26 parts of at most 2**27 in
 # magnitude sum to at most 2**53, which float64 holds exactly
 _COLUMN_BLOCK = 1 << 26
@@ -77,37 +61,26 @@ def _out(out, shape):
 def frac(x, out=None):
     """Fractional part in [0, 1], computed in long double, returned as float64.
 
-    x is an array of one or more dimensions (0-d raises ValueError).  The
-    same bits as (x - floor(x)).astype(float64), 1.0 included: a tiny
-    negative x rounds x - floor(x) up to 1.  With out, a float64 array of
-    x's shape, the result is written there and out is returned.
+    x is an array of one or more dimensions (0-d raises ValueError) of
+    values in [0, 2**63): an element whose float64 rounding is negative,
+    -0.0 (as a tiny negative's is), 2**63 or more, or NaN raises
+    ValueError.  The bits of (x - floor(x)).astype(float64), 1.0 included.
+    With out, a float64 array of x's shape, the result is written there
+    and out is returned.
     """
     x = as_ld(x)
     if x.ndim == 0:
         raise ValueError("frac takes arrays of one or more dimensions")
     out = np.empty(x.shape) if out is None else _out(out, x.shape)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # float64 rounds the range test outwards only near 2**63, where the
-        # exact long-double mask below decides
+    with np.errstate(over="ignore"):
         np.copyto(out, x, casting="same_kind")
-        lo, hi = (out.min(), out.max()) if x.size else (1.0, 1.0)
-        inside = -_TWO_63 < lo and hi < _TWO_63
-        if lo > 0:
-            # x > 0 everywhere (the phases) leaves no negative remainder and
-            # no -0.0: the long-double difference rounds straight into out
-            np.subtract(x, x.astype(np.int64), out=out, casting="same_kind")
-        else:
-            r = x - x.astype(np.int64)
-            neg = r < 0
-            if neg.any():
-                np.add(r, 1, out=r, where=neg)
-            np.copyto(out, r, casting="same_kind")
-            out += 0.0
-    if not inside:
-        big = ~(np.abs(x) < _TWO_63)
-        if big.any():
-            xb = x[big]
-            out[big] = (xb - np.floor(xb)).astype(np.float64)
+    # float64 rounds monotonically and holds 2**63, so an x whose rounding
+    # is below 2**63 is below it too; NaN fails both comparisons
+    lo, hi = out.min(initial=np.inf), out.max(initial=0.0)
+    if not (0.0 <= lo and hi < 2.0 ** 63) or (
+            lo == 0.0 and np.signbit(out).any()):
+        raise ValueError("frac takes x in [0, 2**63), not -0.0 or NaN")
+    np.subtract(x, x.astype(np.int64), out=out, casting="same_kind")
     return out
 
 

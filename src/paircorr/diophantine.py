@@ -30,6 +30,10 @@ _ENUM_BUDGET = 10**9
 _BYTES_PER_Z = 40
 _BYTES_PER_M = 24
 
+# peak bytes a difference holds in robert_sargos_count: it, its sorted
+# copy, a shifted copy and two searches (40.0 under tracemalloc)
+_BYTES_PER_DIFF = 40
+
 # peak bytes a product holds through count_duq: the products, sorted in
 # place, a shifted copy and the two search bounds (32.0 under tracemalloc)
 _BYTES_PER_PRODUCT = 32
@@ -225,15 +229,16 @@ def robert_sargos_count(M: int, one_minus_Theta: float, gamma: float) -> int:
         raise ValueError("exponent must avoid 0 and 1")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    _pool.guard(int(M) ** 4, "quadruples M^4", _ENUM_BUDGET)
+    _pool.guard(_BYTES_PER_DIFF * int(M) ** 2 + _BYTES_PER_M * M,
+                f"bytes for {M}**2 differences")
     vals = _pow_ld(np.arange(1, M + 1), one_minus_Theta).astype(np.float64)
     diffs = (vals[:, None] - vals[None, :]).ravel()
     thr = gamma * float(M) ** one_minus_Theta
     ds = np.sort(diffs)
     hi = np.searchsorted(ds, thr - diffs, side="left")
-    lo = np.searchsorted(ds, -thr - diffs, side="right")
+    hi -= np.searchsorted(ds, -thr - diffs, side="right")
     # gamma = 0 makes the open interval empty while ties push hi below lo
-    return int(np.maximum(hi - lo, 0).sum())
+    return int(np.maximum(hi, 0, out=hi).sum())
 
 
 def duq_bound_check(theta: float, N: int, eps: float) -> list[dict]:

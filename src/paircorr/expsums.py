@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _pool
-from ._pool import _CHUNK, _thread_workers, pmap
+from ._pool import _CHUNK
 from ._precision import (LD, _pow_ld, as_ld, csum, e_frac, exact_row_sums,
                          frac, iceil, ifloor)
 from .kernels import TestKernel, fourier, periodize
@@ -112,21 +112,19 @@ def _h_window(spec: SequenceSpec, h: TestKernel):
 
 
 def exp_sum_direct(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
-    """E_j by direct summation over the support of h(./N)."""
+    """E_j by direct summation over the support of h(./N); j >= 0."""
     _one_dilate(spec)
+    if j < 0:
+        raise ValueError("j must be a nonnegative integer")
     hw, w = _h_window(spec, h)
     return csum(hw * e_frac(frac(as_ld(spec.alpha) * j * w)))
 
 
 def _direct_abs2(spec: SequenceSpec, h: TestKernel, js: np.ndarray) -> np.ndarray:
     """|E_j|^2 for many j at once, by the dense J x N product: the oracle
-    the tests hold _nufft_abs2 to.  s_sum does not call it.
-
-    Rows of about _CHUNK phases run as jobs on the shared pool, each
-    writing its own slice of the result.  A row of E is summed by numpy's
-    pairwise sum, one row at a time, so its bits depend on neither the
-    chunk nor the thread.  No BLAS: a threaded zgemv inside the pool's
-    jobs wakes OpenBLAS's own workers, which take the pool's cores.
+    the tests hold _nufft_abs2 to, in rows of about _CHUNK phases at a
+    time.  Each row is summed by numpy's pairwise sum, so its bits do not
+    depend on the rows beside it.
     """
     hw, w = _h_window(spec, h)
     out = np.zeros(len(js), dtype=np.float64)
@@ -134,17 +132,12 @@ def _direct_abs2(spec: SequenceSpec, h: TestKernel, js: np.ndarray) -> np.ndarra
         return out
     chunk = max(1, _CHUNK // w.size)
     a_ld = as_ld(spec.alpha)
-
-    def job(i):
-        # frac and e_frac are looked up at call time, as a wrapper may
-        # replace them
+    for i in range(0, len(js), chunk):
         aj = a_ld * as_ld(js[i:i + chunk])
         E = e_frac(frac(aj[:, None] * w[None, :]))
         E *= hw
         E = E.sum(axis=1)
         out[i:i + chunk] = E.real ** 2 + E.imag ** 2
-
-    pmap(job, range(0, len(js), chunk), _thread_workers())
     return out
 
 

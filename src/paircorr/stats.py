@@ -120,8 +120,8 @@ def fractional_parts(theta: float, alpha: float, n_lo: int, n_hi: int,
     the degenerate fibre when theta = 1/2 and alpha is rational).  The
     powers of the last window are reused (see _powers), and each point is
     reduced on its own, so the points do not depend on that reuse, nor on
-    how the pool's threads share the chunks.  A window whose points would
-    not fit in memory raises ResourceGuardError before anything is built.
+    how the pool's threads share the chunks.  Too many points raise
+    ResourceGuardError, phases past 2**63 ValueError, before any is built.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie strictly between 0 and 1")
@@ -129,12 +129,14 @@ def fractional_parts(theta: float, alpha: float, n_lo: int, n_hi: int,
         raise ValueError("alpha must be finite and positive")
     if not 1 <= n_lo <= n_hi:
         raise ValueError("need 1 <= n_lo <= n_hi")
+    if alpha * float(n_hi) ** theta >= 2.0 ** 63:
+        raise ValueError(f"alpha * n_hi**theta >= 2**63 ({alpha=}, {n_hi=})")
     w = _powers(theta, n_lo, n_hi, exclude_squares)
     a = as_ld(alpha)
     pts = np.empty(w.size, dtype=np.float64)
 
     def job(i):
-        pts[i:i + _CHUNK] = frac(a * w[i:i + _CHUNK])
+        frac(a * w[i:i + _CHUNK], out=pts[i:i + _CHUNK])
 
     pmap(job, range(0, w.size, _CHUNK), _thread_workers())
     return PointSet(theta=theta, alpha=alpha, n_lo=n_lo, n_hi=n_hi,

@@ -4,7 +4,9 @@ An oracle keeps its own copy of the formulas it checks: r_off_pairs and
 moments_per_sample build their phases and amplitudes themselves, never
 through expsums._short_terms, and take e(.) from numpy's exp rather than
 the library's e_frac, so a fault in that shared term table or in e_frac
-cannot cancel out of a comparison with them.  Only the m-windows and the
+cannot cancel out of a comparison with them; r_off_pairs also reduces its
+signed pair phases itself, as x - floor(x) in long double, where the
+library's frac takes only phases in [0, 2**63).  Only the m-windows and the
 j-band come from expsums.  short_components_flat is the exception: it
 repeats the library's arithmetic term for term, e_frac included, and
 checks only the layout and summation order of expsums._short_components;
@@ -95,9 +97,11 @@ def r_off_pairs(spec, f, h, eps=0.05) -> float:
         m = np.arange(lo[idx], hi[idx] + 1, dtype=np.int64)
         b = btab[m - mlo]
         a_ld = np.power(as_ld(al) * int(j), LD(TH))
-        # pair phase via z_mn = m^(1-Theta) - n^(1-Theta); the diagonal of
-        # the quadratic form contributes e(0) Sum a^2, removed afterwards
-        ph = frac(c2_ld * a_ld * (b[:, None] - b[None, :]))
+        # pair phase via z_mn = m^(1-Theta) - n^(1-Theta), of either sign,
+        # reduced here by the long-double floor; the diagonal of the
+        # quadratic form contributes e(0) Sum a^2, removed afterwards
+        x = c2_ld * a_ld * (b[:, None] - b[None, :])
+        ph = (x - np.floor(x)).astype(np.float64)
         mf = m.astype(np.float64)
         xm = (th * al * float(j) / mf) ** TH
         a = mf ** (-(TH + 1.0) / 2.0) * h(xm / N)

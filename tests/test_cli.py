@@ -317,6 +317,19 @@ def test_theta_near_one_exits_2_without_a_report(tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
+def test_unreducible_dilate_exits_2_without_a_report(tmp_path, capsys):
+    # alpha = 1e20 puts every phase past 2**63, where no point can be
+    # reduced exactly: a named refusal, not pair counts of zeros
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"alpha": 1e20}))
+    out = tmp_path / "out"
+    assert main(["paircorr", "--config", str(cfg), "--N", "1000",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "alpha=1e+20" in err and "n_hi=2000" in err
+    assert not (out / "report.json").exists()
+
+
 def test_bprocess_at_theta_0_99_runs(tmp_path):
     # j reaches about 2000 at N = 1000, so (alpha j)**Theta overflows
     # float64 but (alpha j)**(Theta/2), all the short form takes, does not

@@ -130,7 +130,7 @@ def test_count_zdiag_hand_and_naive():
         assert count_zdiag(zset, tau) == naive_zdiag(vals, tau)
 
 
-def test_robert_sargos_hand_values():
+def test_robert_sargos_hand_values(monkeypatch):
     assert robert_sargos_count(1, -1.0, 2.0) == 1
     assert robert_sargos_count(2, -1.0, 4.0) == 16
     for M in (3, 5, 8):
@@ -139,8 +139,10 @@ def test_robert_sargos_hand_values():
         robert_sargos_count(4, 0.0, 1.0)
     with pytest.raises(ValueError):
         robert_sargos_count(0, -1.0, 1.0)
-    with pytest.raises(ResourceGuardError):
-        robert_sargos_count(10**3, -1.0, 1.0)
+    # past the memory budget, here 1 GB: 10**6 differences fit, 10**8 not
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: 10**9)
+    with pytest.raises(ResourceGuardError, match="bytes for 10000\\*\\*2 "):
+        robert_sargos_count(10**4, -1.0, 1.0)
 
 
 def test_robert_sargos_matches_naive():
@@ -302,3 +304,46 @@ def test_enumerations_past_the_memory_budget_are_refused_unbuilt(
     monkeypatch.setattr(_pool, "_memory_budget", lambda: max(z_need, p_need))
     assert count_duq(CELL) == count
     assert sorted(calls) == [CELL.js.size, CELL.m_hi - CELL.m_lo + 1]
+
+
+def _rs_need(M):
+    """robert_sargos_count's byte count: its differences and its M values."""
+    return (M * M * diophantine._BYTES_PER_DIFF
+            + M * diophantine._BYTES_PER_M)
+
+
+def test_robert_sargos_byte_count_covers_the_measured_peak():
+    for M in (300, 700):
+        count, peak = _peak(lambda: robert_sargos_count(M, -1.0, 0.5))
+        assert M * M * diophantine._BYTES_PER_DIFF * 0.9 < peak <= _rs_need(M)
+        assert count >= M * M
+
+
+def test_robert_sargos_past_the_memory_budget_is_refused_unbuilt(
+        monkeypatch):
+    calls = []
+
+    def spy(values, expo):
+        calls.append(np.size(values))
+        return _pow_ld(values, expo)
+
+    monkeypatch.setattr(diophantine, "_pow_ld", spy)
+    want = robert_sargos_count(300, -0.4, 0.3)
+    # M = 10**6 would take 10**12 differences, 4e13 bytes; the guard refuses
+    # them before the first is built, whatever the machine holds
+    for M in (300, 10**6):
+        need = _rs_need(M)
+        monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError,
+                               match=f"differences: need {need}, "):
+                robert_sargos_count(M, -0.4, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16 and calls == [300]
+    # at exactly its need the count runs, and gives the same count
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: _rs_need(300))
+    assert robert_sargos_count(300, -0.4, 0.3) == want
+    assert calls == [300, 300]

@@ -2,8 +2,6 @@
 
 import cmath
 import math
-import sys
-import threading
 import tracemalloc
 
 import mpmath
@@ -88,63 +86,42 @@ def test_direct_sum_brute_oracle(h):
         assert abs(exp_sum_direct(spec, h, j) - acc) < 1e-9
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_pooled_direct_sums_keep_each_rows_bits(monkeypatch, h, workers):
+def test_direct_sums_keep_each_rows_bits(h):
     # j counts off the chunk grid and below one chunk, rows longer than a
-    # chunk (one row a job), and an empty index range; every row against
+    # chunk (one row a chunk), and an empty index range; every row against
     # the same row computed alone, by bytes, and against the exactly
-    # rounded sum.  A short switch interval mixes the jobs up.
-    monkeypatch.setattr(expsums, "_thread_workers", lambda: workers)
+    # rounded sum
     cases = [(SequenceSpec(0.5, 1.37, 512), 3 * (_CHUNK // 511) + 17),
              (SequenceSpec(0.3, 1.999, 1000), 5),
              (SequenceSpec(0.7, 1.0, _CHUNK + 5), 3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for spec, count in cases:
-            js = np.arange(1, 40 * count, 40, dtype=np.int64)
-            got = _direct_abs2(spec, h, js)
-            alone = np.concatenate([_direct_abs2(spec, h, js[k:k + 1])
-                                    for k in range(count)])
-            assert got.shape == (count,)
-            assert got.tobytes() == alone.tobytes()
-            ys = _index_range(spec, h)
-            H1 = float(np.sum(h(ys / spec.N)))
-            for j, e2 in zip(js.tolist(), got.tolist()):
-                ref = abs(exp_sum_direct(spec, h, j)) ** 2
-                assert abs(e2 - ref) <= 1e-13 * H1 ** 2
-    finally:
-        sys.setswitchinterval(interval)
+    for spec, count in cases:
+        js = np.arange(1, 40 * count, 40, dtype=np.int64)
+        got = _direct_abs2(spec, h, js)
+        alone = np.concatenate([_direct_abs2(spec, h, js[k:k + 1])
+                                for k in range(count)])
+        assert got.shape == (count,)
+        assert got.tobytes() == alone.tobytes()
+        ys = _index_range(spec, h)
+        H1 = float(np.sum(h(ys / spec.N)))
+        for j, e2 in zip(js.tolist(), got.tolist()):
+            ref = abs(exp_sum_direct(spec, h, j)) ** 2
+            assert abs(e2 - ref) <= 1e-13 * H1 ** 2
     narrow = make_bump(1.0, 1.001)
     assert _index_range(SequenceSpec(0.5, 1.5, 2), narrow).size == 0
     empty = _direct_abs2(SequenceSpec(0.5, 1.5, 2), narrow, np.arange(1, 9))
     assert empty.tobytes() == np.zeros(8).tobytes()
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_pooled_direct_sums_run_on_several_threads(monkeypatch, h, workers):
-    monkeypatch.setattr(expsums, "_thread_workers", lambda: workers)
-    # the first two chunks wait for each other, so two threads must run them
-    barrier = threading.Barrier(2, timeout=30)
-    lock = threading.Lock()
-    seen = []
-    frac = expsums.frac
-
-    def spy(x):
-        with lock:
-            seen.append(threading.get_ident())
-            first = len(seen) <= 2
-        if first:
-            barrier.wait()
-        return frac(x)
-
-    monkeypatch.setattr(expsums, "frac", spy)
-    spec = SequenceSpec(0.5, 1.5, 512)
-    rows = _CHUNK // 511
-    threads = threading.active_count()
-    _direct_abs2(spec, h, np.arange(1, 4 * rows + 1))
-    assert threading.active_count() == threads
-    assert len(seen) == 4 and len(set(seen)) >= 2
+def test_direct_sum_refuses_a_negative_j(h):
+    # by name, before a negative phase reaches frac's domain refusal; j = 0
+    # is E_0 = H1, the sum of the weights
+    spec = SequenceSpec(0.5, 1.37, 64)
+    for j in (-1, -40, np.int64(-3)):
+        with pytest.raises(ValueError,
+                           match="j must be a nonnegative integer"):
+            exp_sum_direct(spec, h, j)
+    H1 = float(np.sum(h(_index_range(spec, h) / spec.N)))
+    assert abs(exp_sum_direct(spec, h, 0) - H1) <= 1e-15 * H1
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])

@@ -334,13 +334,13 @@ def test_fourier_table_guard_refuses_a_band_before_its_nodes(monkeypatch):
 
 
 def test_direct_sum_guard_counts_its_exponentials(monkeypatch):
-    # one frequency on 262,143 nodes: a single row, whose phases,
-    # exponentials and products peak at 64.5 bytes a node with the table,
-    # where the table's own guard counts 32
+    # one frequency on 262,143 nodes: a single row, whose phases and
+    # exponentials, made in place, peak at 48.5 bytes a node with the
+    # table, where the table's own guard counts 32
     table = FourierTable(default_f(), 5000.0)
     K = table._nodes.size
     assert K == 262143
-    need = 80 * K
+    need = 56 * K
     monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
     tracemalloc.start()
     try:
@@ -362,6 +362,35 @@ def test_direct_sum_guard_counts_its_exponentials(monkeypatch):
         tracemalloc.stop()
     assert got == complex(want[0])
     assert 32 * K < peak <= need
+
+
+def test_direct_sum_guard_bounds_blocks_of_rows(monkeypatch):
+    # 5000 frequencies off any lattice on 8191 nodes: blocks of four rows,
+    # one freed before the next is built; the peak past the table is the
+    # phases, the output and one block with numpy's casting buffer
+    table = FourierTable(default_f(), 64.0)
+    K = table._nodes.size
+    xs = np.linspace(-63.3, 63.9, 5000)
+    rows = kernels._BLOCK // K
+    assert rows == 4
+    need = 32 * K + 24 * rows * K
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
+    with pytest.raises(ResourceGuardError,
+                       match=f"-node direct sum: need {need}, "):
+        table._direct(xs)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: need)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = table._direct(xs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the table itself (nodes and weights, 16 bytes a node) was built first
+    assert 16 * rows * K < peak - got.nbytes <= need - 16 * K
+    # each value is its own row's sum, so the blocks do not move its bits
+    alone = np.concatenate([table._direct(xs[i:i + 1]) for i in range(7)])
+    assert alone.tobytes() == got[:7].tobytes()
 
 
 def test_fourier_table_check5_peak_is_within_its_guard():

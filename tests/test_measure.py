@@ -111,16 +111,16 @@ def test_osc_single_past_the_memory_budget_is_refused(monkeypatch, mu):
 
     monkeypatch.setattr(kernels, "FourierTable", Spy)
     osc_integral_single(200, 250, 7, 9, mu)
-    # FourierTable's count: 32 bytes a node for the table, and 80 for the
-    # direct sum of its one frequency
+    # FourierTable's count: 32 bytes a node for the table, and 56 for the
+    # direct sum of its one frequency (32 and 24 for its one-row block)
     K = tables[0]._nodes.size
     for need, what in ((32 * K, "-node Fourier table"),
-                       (80 * K, "-node direct sum")):
+                       (56 * K, "-node direct sum")):
         monkeypatch.setattr(_pool, "_memory_budget", lambda: need - 1)
         with pytest.raises(ResourceGuardError,
                            match=f"{what}: need {need}, "):
             osc_integral_single(200, 250, 7, 9, mu)
-    monkeypatch.setattr(_pool, "_memory_budget", lambda: 80 * K)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: 56 * K)
     assert osc_integral_single(200, 250, 7, 9, mu) == want
     # the refused table was never built
     assert len(tables) == 3

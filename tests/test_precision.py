@@ -4,6 +4,7 @@ inline formulas it replaced; the bucketed exact row sums against
 math.fsum, bit for bit."""
 
 import math
+import re
 from unittest import mock
 
 import mpmath
@@ -19,80 +20,104 @@ from paircorr.diophantine import dio_instance
 from paircorr.expsums import SequenceSpec, _band, _windows
 
 TWO_62, TWO_63, TWO_70 = LD(2) ** 62, LD(2) ** 63, LD(2) ** 70
+# the message of frac's one refusal, for every x outside its domain
+DOMAIN = re.escape("frac takes x in [0, 2**63), not -0.0 or NaN")
 
 
 def floor_form(x):
     x = as_ld(x)
-    with np.errstate(invalid="ignore"):  # inf - floor(inf)
-        return (x - np.floor(x)).astype(np.float64)
+    return (x - np.floor(x)).astype(np.float64)
 
 
 def assert_same_bits(got, want):
     assert got.dtype == np.float64 and got.shape == want.shape
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64),
-                          want[~nan].view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_refused(x):
+    out = np.empty(np.shape(x))
+    for kwargs in ({}, {"out": out}):
+        with pytest.raises(ValueError, match=DOMAIN):
+            frac(as_ld(x), **kwargs)
 
 
 def test_integers_and_their_neighbours():
     ks = np.arange(1, 5001).astype(LD)
-    ks = np.concatenate([ks, -ks])
     inf = LD(np.inf)
     for x in (ks, np.nextafter(ks, inf), np.nextafter(ks, -inf)):
         assert_same_bits(frac(x), floor_form(x))
     assert not frac(ks).any()
+    # 1 - 2**-64 rounds up to 1.0 in the floor form as well
+    assert frac(np.nextafter(ks[:1], -inf)).tolist() == [1.0]
+    # the negative integers and their neighbours are refused, alone and
+    # among the positive ones
+    for x in (-ks, np.nextafter(-ks, inf), np.concatenate([ks, -ks[:1]])):
+        assert_refused(x)
 
 
 def test_signed_zero_gives_plus_zero():
-    x = as_ld([0.0, -0.0, -3.0])
+    x = as_ld([0.0, 3.0, 0.5])
     got = frac(x)
     assert_same_bits(got, floor_form(x))
     assert not np.signbit(got).any()
-    assert not np.signbit(frac(as_ld([-0.0]))).any()
+    # no caller forms -0.0; it is refused, not handed back as -0.0
+    assert_refused([-0.0])
+    assert_refused([0.0, -0.0, 3.0])
 
 
 def test_negative_non_integers():
-    x = -np.array([0.5, 1.25, 3.75, 4999.5, 1e-30, 1e-300, LD(10) ** -4000,
-                   LD(10) ** 18 + LD(0.5), TWO_62 - LD(0.5), TWO_63 - 1],
-                  dtype=LD)
-    got = frac(x)
-    assert_same_bits(got, floor_form(x))
-    assert got[4] == 1.0  # 1 - 1e-30 rounds up in the floor form as well
+    mags = np.array([0.5, 1.25, 3.75, 4999.5, 1e-30, 1e-300,
+                     LD(10) ** -4000, LD(10) ** 18 + LD(0.5),
+                     TWO_62 - LD(0.5)], dtype=LD)
+    assert_same_bits(frac(mags), floor_form(mags))
+    # each negative is refused, the tiny ones too, whose float64 rounding
+    # is -0.0; one among positive values refuses the whole array
+    for m in mags:
+        assert_refused(as_ld([-m]))
+        assert_refused(np.concatenate([mags, as_ld([-m])]))
 
 
 def test_near_and_past_two_to_63():
-    mags = [TWO_62 - 1, TWO_62 - LD(0.5), TWO_63 - 1, TWO_63, TWO_63 + 2,
-            TWO_70, TWO_70 + TWO_62, LD(10) ** 400]
-    x = np.array(mags + [-m for m in mags], dtype=LD)
-    assert_same_bits(frac(x), floor_form(x))
-    # one big element among ordinary ones is reduced in place
-    mixed = np.array([0.25, -0.25, 7.5, TWO_70 + 128], dtype=LD)
-    assert_same_bits(frac(mixed), floor_form(mixed))
+    # just below 2**62, and up to the last float64 below 2**63
+    below = np.array([TWO_62 - 1, TWO_62 - LD(0.5), TWO_62 - LD(0.25),
+                      TWO_62 + LD(0.5), TWO_63 - 2 ** 10], dtype=LD)
+    assert_same_bits(frac(below), floor_form(below))
+    # 2**63 - 1 rounds to 2**63 in float64, which the range test refuses
+    past = [TWO_63 - 1, TWO_63, TWO_63 + 2, TWO_70, TWO_70 + TWO_62,
+            LD(10) ** 400]
+    for m in past:
+        assert_refused(as_ld([m]))
+        assert_refused(as_ld([0.25, 7.5, m]))
+        assert_refused(as_ld([-m]))
 
 
-def test_infinities_and_nan_give_nan():
-    x = as_ld([np.inf, -np.inf, np.nan, 1.5])
-    with np.errstate(invalid="ignore"):
-        got = frac(x)
-    assert np.isnan(got[:3]).all() and got[3] == 0.5
-    assert_same_bits(got, floor_form(x))
+def test_infinities_and_nan_are_refused():
+    for bad in (np.inf, -np.inf, np.nan, -np.nan):
+        assert_refused(as_ld([bad]))
+        assert_refused(as_ld([1.5, bad, 2.25]))
 
 
 @pytest.mark.parametrize("top", [1.0, 1e6, 1e12, 4e18])
 def test_seeded_uniform_both_signs(top):
     rng = np.random.default_rng(20211)
-    x = (rng.uniform(-1.0, 1.0, 50_000).astype(LD) * LD(top)
+    x = (rng.uniform(0.0, 1.0, 50_000).astype(LD) * LD(top)
          * as_ld(rng.uniform(1.0, 2.0, 50_000)) / 2)
     assert_same_bits(frac(x), floor_form(x))
     square = x[:40_000].reshape(200, 200)
     assert_same_bits(frac(square), floor_form(square))
+    # the same draws negated, and one negated among them, are refused
+    assert_refused(-x[x > 0])
+    y = x.copy()
+    y[rng.integers(0, y.size)] *= -1
+    assert_refused(y[y != 0])
 
 
 def test_one_element_arrays_keep_their_shape():
-    for x in (2.75, -2.75, 3, LD(-0.125), 5.5, np.float64(-1e-30)):
+    for x in (2.75, 3, LD(0.125), 5.5, np.float64(1e-30), 0.0):
         x = as_ld([x])
         assert_same_bits(frac(x), floor_form(x))
+    for x in (-2.75, LD(-0.125), np.float64(-1e-30)):
+        assert_refused(as_ld([x]))
     assert frac(np.zeros(0, LD)).shape == (0,)
 
 
@@ -105,12 +130,13 @@ def test_common_path_takes_no_floor(monkeypatch):
         return floor(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "floor", spy)
-    x = as_ld(np.linspace(-1e18, 1e18, 1001))
+    x = as_ld(np.linspace(0.0, 1e18, 1001))
     frac(x)
-    frac(np.concatenate([x, [TWO_63 - 1, -(TWO_63 - 1)]]))
+    frac(np.concatenate([x, [TWO_62 - 1, TWO_63 - 2 ** 10]]))
+    for bad in (TWO_63, TWO_70, as_ld(np.nan), -1.0):
+        with pytest.raises(ValueError, match=DOMAIN):
+            frac(np.concatenate([x, [bad]]))
     assert calls == []
-    frac(np.concatenate([x, [TWO_70, as_ld(np.nan)]]))
-    assert calls == [2]
 
 
 def test_paper_phases_against_mpmath():
@@ -135,21 +161,26 @@ def test_paper_phases_against_mpmath():
 
 @pytest.mark.parametrize("sign", ["positive", "negative", "mixed"])
 def test_with_and_without_negative_remainders(sign):
-    # all x > 0 skip the mending of negative remainders and -0.0; one
-    # element at or below 0 (a tiny negative rounds to -0.0 in float64)
-    # brings it back
+    # positive phases reduce to floor's bits, never to -0.0; an array with
+    # one element at or below -0.0 (a tiny negative rounds to -0.0 in
+    # float64) is refused whole
     rng = np.random.default_rng(2014)
     x = as_ld(rng.uniform(0.0, 1e9, 20_000)) + as_ld(rng.random(20_000))
-    x = np.concatenate([x, as_ld([7.0, LD(10) ** -4000, TWO_63 - 1])])
-    if sign == "negative":
-        x = -x
-    elif sign == "mixed":
-        x[::3] *= -1
-    odd = [0.0, -0.0, -5.0, -(LD(10) ** -4000), -1e-300, -0.5]
-    for y in [x] + [np.concatenate([x, as_ld([v])]) for v in odd]:
-        got = frac(y)
-        assert_same_bits(got, floor_form(y))
-        assert not np.signbit(got).any()
+    x = np.concatenate([x, as_ld([7.0, LD(10) ** -4000, TWO_62 - 1])])
+    if sign == "positive":
+        for y in [x] + [np.concatenate([x, as_ld([v])]) for v in (0.0, 5.0)]:
+            got = frac(y)
+            assert_same_bits(got, floor_form(y))
+            assert not np.signbit(got).any()
+        odd = [-0.0, -5.0, -(LD(10) ** -4000), -1e-300, -0.5]
+        for v in odd:
+            assert_refused(np.concatenate([x, as_ld([v])]))
+    else:
+        if sign == "negative":
+            x = -x
+        else:
+            x[::3] *= -1
+        assert_refused(x)
 
 
 def exact_e(x):
@@ -209,22 +240,19 @@ def test_e_frac_parts_written_to_out_are_the_complex_parts():
 
 
 def test_frac_written_to_out_has_the_same_bits():
-    mags = [TWO_62 - 1, TWO_63 - 1, TWO_63, TWO_63 + 2, TWO_70,
-            LD(10) ** 400]
     cases = [
-        -np.array([0.5, 1.25, 4999.5, 1e-30, LD(10) ** -4000, TWO_62 - 1]),
-        as_ld([0.0, -0.0, -3.0]),
-        np.array(mags + [-m for m in mags], dtype=LD),
-        as_ld([np.inf, -np.inf, np.nan, 1.5]),
+        np.array([0.5, 1.25, 4999.5, 1e-30, LD(10) ** -4000, TWO_62 - 1]),
+        as_ld([0.0, 3.0]),
+        np.array([TWO_62 - 1, TWO_62 + LD(0.5), TWO_63 - 2 ** 10], dtype=LD),
         as_ld(np.random.default_rng(9).uniform(0.0, 1e9, (40, 50))),
-        as_ld([2.75]), as_ld([-1e-30]), np.zeros(0, LD)]
-    with np.errstate(invalid="ignore"):
-        for x in cases:
-            x = as_ld(x)
-            want = frac(x)
-            out = np.full(x.shape, 7.0)
-            assert frac(x, out=out) is out
-            assert np.asarray(want).tobytes() == out.tobytes()
+        as_ld([2.75]), as_ld([1e-30]), np.zeros(0, LD)]
+    for x in cases:
+        x = as_ld(x)
+        want = frac(x)
+        out = np.full(x.shape, 7.0)
+        assert frac(x, out=out) is out
+        assert want.tobytes() == out.tobytes()
+        assert_same_bits(out, floor_form(x))
 
 
 def test_out_of_the_wrong_shape_or_dtype_raises():

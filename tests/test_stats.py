@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -53,6 +54,28 @@ def test_fractional_parts_validation():
     for alpha in (math.nan, math.inf):
         with pytest.raises(ValueError):
             fractional_parts(0.5, alpha, 1, 10)
+
+
+def test_unreducible_dilate_is_refused_by_name_before_any_table(
+        monkeypatch):
+    # alpha * n_hi**theta at 2**63 or past it has no exact int64 reduction:
+    # refused by name before the power table is built or the guard runs
+    def never(*args):
+        raise AssertionError("no power table for an unreducible dilate")
+
+    monkeypatch.setattr(stats, "_powers", never)
+    monkeypatch.setattr(_pool, "_memory_budget", lambda: 0)
+    for alpha, n_hi, theta in ((1e20, 1000, 0.5), (2.0 ** 62, 4, 0.5),
+                               (1e18, 10 ** 6, 0.3), (1e300, 2, 0.7)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"alpha * n_hi**theta >= 2**63 (alpha={alpha!r}, "
+                f"n_hi={n_hi!r})")):
+            fractional_parts(theta, alpha, 1, n_hi)
+    monkeypatch.undo()
+    # just below 2**63 the points are reduced, each as frac reduces it
+    ps = fractional_parts(0.5, 2.0 ** 61, 1, 4)
+    want = frac(as_ld(2.0 ** 61) * _pow_ld(np.arange(1, 5), 0.5))
+    assert ps.points.tobytes() == want.tobytes()
 
 
 def test_fractional_parts_bytes_match_direct_reduction():
