@@ -86,11 +86,14 @@ def test_direct_sum_brute_oracle(h):
         assert abs(exp_sum_direct(spec, h, j) - acc) < 1e-9
 
 
-def test_direct_sums_keep_each_rows_bits(h):
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_pooled_direct_sums_keep_each_rows_bits(monkeypatch, h, workers):
     # j counts off the chunk grid and below one chunk, rows longer than a
     # chunk (one row a chunk), and an empty index range; every row against
     # the same row computed alone, by bytes, and against the exactly
-    # rounded sum
+    # rounded sum.  The oracle is serial: whatever size the library's pool
+    # takes, its bits must not move.
+    monkeypatch.setattr(_pool, "_thread_workers", lambda: workers)
     cases = [(SequenceSpec(0.5, 1.37, 512), 3 * (_CHUNK // 511) + 17),
              (SequenceSpec(0.3, 1.999, 1000), 5),
              (SequenceSpec(0.7, 1.0, _CHUNK + 5), 3)]
