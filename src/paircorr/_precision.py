@@ -4,8 +4,11 @@ Phases like ``alpha * j * y**theta`` reach 1e8 and beyond before reduction
 mod 1, so 53-bit arithmetic would leave only ~8 correct digits in the
 fractional part.  Every reduction here goes through the platform long double
 (80-bit extended on x86), and only the reduced value is handed back to
-float64 circle arithmetic.  LD_NMANT records the long double's mantissa
-bits; the runner refuses to start when it is below 63.
+float64 circle arithmetic.  The powers come from ``_pow_ld`` (sqrt, or
+powl) for small sets and for theta = 1/2, and from the anchored series of
+``stats._powers`` for the window tables of every other theta.  LD_NMANT
+records the long double's mantissa bits; the runner refuses to start when
+it is below 63.
 
 ``frac`` reduces a phase in [0, 2**63), the only kind the library forms,
 as ``x - trunc(x)`` through int64, exact for x >= 0 (Sterbenz): the bits of
@@ -43,7 +46,10 @@ def as_ld(x):
 
 
 def _pow_ld(values, expo: float):
-    """values**expo in long double; exact-path sqrt for expo = 1/2."""
+    """values**expo in long double: the correctly rounded sqrt for
+    expo = 1/2, else the platform's powl (glibc's errs by up to 0.87 ulp).
+    stats._powers takes its theta = 1/2 tables from here and builds the
+    others from anchored series; powl serves the small callers."""
     b = as_ld(values)
     if expo == 0.5:
         return np.sqrt(b)

@@ -216,43 +216,60 @@ def _alphas(cfg: ExperimentConfig) -> list[float]:
     return [float(a) for a in mu.sample_alphas(cfg.alpha_count, substream=0)]
 
 
+def _point_sets(cfg: ExperimentConfig, window):
+    """(N, alpha, point set) for each size and dilate, the integers from
+    window(N) = (n_lo, n_hi).
+
+    Every pair is checked before any set is built.  The long-double spacing
+    of the largest phase, 2**-LD_NMANT of alpha * n_hi**theta, must stay
+    within 1e-6 of the mean gap 1 / M, M = n_hi - n_lo + 1; past it the
+    points are not alpha * n**theta mod 1 to the digits a pair count or a
+    gap reads, and the run is refused as bad config.
+    """
+    alphas = _alphas(cfg)
+    cells = [(N, alpha) for N in cfg.resolve_N() for alpha in alphas]
+    for N, alpha in cells:
+        n_lo, n_hi = window(N)
+        M = n_hi - n_lo + 1
+        phase = alpha * float(n_hi) ** cfg.theta
+        if not phase * 2.0 ** -_precision.LD_NMANT <= 1e-6 / M:
+            raise ConfigError(
+                f"alpha * n**theta keeps too few digits mod 1 for {M} points "
+                f"(alpha={alpha!r}, theta={cfg.theta!r}, N={N}, n_hi={n_hi})")
+    for N, alpha in cells:
+        yield N, alpha, fractional_parts(cfg.theta, alpha, *window(N),
+                                         exclude_squares=cfg.exclude_squares)
+
+
 def _run_paircorr(cfg: ExperimentConfig) -> list[dict]:
     tol = cfg.tol("pair_corr_rel")
-    alphas = _alphas(cfg)
     rows = []
-    for N in cfg.resolve_N():
-        for alpha in alphas:
-            ps = fractional_parts(cfg.theta, alpha, N + 1, 2 * N,
-                                  exclude_squares=cfg.exclude_squares)
-            for s in (0.5, 1.0, 2.0):
-                est = pair_corr_count(ps, s)
-                ok = abs(est.normalized - est.poisson_ref) <= tol * est.poisson_ref
-                rows.append(_row(
-                    "stats.pair_corr_count", cfg.seed,
-                    {"theta": cfg.theta, "alpha": alpha, "N": N, "s": s},
-                    s, est.normalized, est.poisson_ref, ok))
+    for N, alpha, ps in _point_sets(cfg, lambda N: (N + 1, 2 * N)):
+        for s in (0.5, 1.0, 2.0):
+            est = pair_corr_count(ps, s)
+            ok = abs(est.normalized - est.poisson_ref) <= tol * est.poisson_ref
+            rows.append(_row(
+                "stats.pair_corr_count", cfg.seed,
+                {"theta": cfg.theta, "alpha": alpha, "N": N, "s": s},
+                s, est.normalized, est.poisson_ref, ok))
     return rows
 
 
 def _run_gaps(cfg: ExperimentConfig) -> list[dict]:
-    alphas = _alphas(cfg)
     rows = []
-    for N in cfg.resolve_N():
-        for alpha in alphas:
-            ps = fractional_parts(cfg.theta, alpha, 1, N,
-                                  exclude_squares=cfg.exclude_squares)
-            g = gap_distribution(ps, bins=cfg.bins)
-            width = float(g.edges[1] - g.edges[0])
-            inputs = {"theta": cfg.theta, "alpha": alpha, "N": N,
-                      "bins": cfg.bins}
-            for mid, dens in zip(g.midpoints, g.density):
-                # reference column is the Poisson gap law, plot aid only
-                rows.append(_row("stats.gap_distribution", cfg.seed, inputs,
-                                 float(mid), float(dens),
-                                 float(math.exp(-mid)), True))
-            mass = float(g.density.sum() * width + g.overflow_count / g.n_points)
-            rows.append(_row("stats.gap_distribution.mass", cfg.seed, inputs,
-                             -1.0, mass, 1.0, abs(mass - 1.0) <= 1e-9))
+    for N, alpha, ps in _point_sets(cfg, lambda N: (1, N)):
+        g = gap_distribution(ps, bins=cfg.bins)
+        width = float(g.edges[1] - g.edges[0])
+        inputs = {"theta": cfg.theta, "alpha": alpha, "N": N,
+                  "bins": cfg.bins}
+        for mid, dens in zip(g.midpoints, g.density):
+            # reference column is the Poisson gap law, plot aid only
+            rows.append(_row("stats.gap_distribution", cfg.seed, inputs,
+                             float(mid), float(dens),
+                             float(math.exp(-mid)), True))
+        mass = float(g.density.sum() * width + g.overflow_count / g.n_points)
+        rows.append(_row("stats.gap_distribution.mass", cfg.seed, inputs,
+                         -1.0, mass, 1.0, abs(mass - 1.0) <= 1e-9))
     return rows
 
 

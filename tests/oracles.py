@@ -29,12 +29,15 @@ The module is the home of every evaluation that only tests call:
   by the trapezoid rule of kernels.FourierTable alone, so these oracles
   share no quadrature with the code they check;
 - pair_corr_count_concat, the sweep over a doubled array that
-  stats.pair_corr_count is checked against.
+  stats.pair_corr_count is checked against;
+- powers_mp, n**theta in 200-bit mpmath, which stats._powers' anchored
+  tables are checked against.
 """
 
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -295,6 +298,14 @@ def pair_corr_count_concat(points, s) -> int:
     ext = np.concatenate([vs, vs + 1.0])
     hi = np.searchsorted(ext, vs + r, side="right")
     return 2 * int((hi - np.arange(M) - 1).sum())
+
+
+def powers_mp(theta: float, ns) -> list:
+    """n**theta for each integer n of ns, as 200-bit mpmath numbers, with
+    theta the float64 value itself."""
+    with mpmath.workprec(200):
+        t = mpmath.mpf(theta)
+        return [mpmath.mpf(int(n)) ** t for n in ns]
 
 
 def circular_gaps(points) -> np.ndarray:

@@ -330,6 +330,28 @@ def test_unreducible_dilate_exits_2_without_a_report(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("experiment", ["paircorr", "gaps"])
+def test_dilate_with_too_few_digits_exits_2_without_a_report(
+        tmp_path, capsys, monkeypatch, experiment):
+    # alpha = 1e15 leaves the points up to 3.5e-3 from alpha * n**theta
+    # mod 1 at N = 1000: the long-double spacing of the largest phase,
+    # about 5e-3 of the mean gap, passes 1e-6 of it; refused before any
+    # point set is built
+    def never(*args, **kwargs):
+        raise AssertionError("no point set for a refused dilate")
+
+    monkeypatch.setattr(cli, "fractional_parts", never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"alpha": 1e15}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--N", "1000",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "alpha=1000000000000000.0" in err and "theta=0.5" in err
+    assert "N=1000" in err and "too few digits" in err
+    assert not (out / "report.json").exists()
+
+
 def test_bprocess_at_theta_0_99_runs(tmp_path):
     # j reaches about 2000 at N = 1000, so (alpha j)**Theta overflows
     # float64 but (alpha j)**(Theta/2), all the short form takes, does not

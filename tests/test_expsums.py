@@ -474,7 +474,14 @@ def test_one_power_table_per_theta_and_n(monkeypatch, f, h):
             return _pow_ld(values, expo)
         return pow_ld
 
+    kernel = stats._anchored_pow
+
+    def anchored(ns, theta, anchors, out):
+        powers.append(("stats", theta, int(ns.size)))
+        kernel(ns, theta, anchors, out)
+
     monkeypatch.setattr(stats, "_pow_ld", spy("stats"))
+    monkeypatch.setattr(stats, "_anchored_pow", anchored)
     monkeypatch.setattr(expsums, "_pow_ld", spy("expsums"))
     expected = []
     for theta, N in ((0.3, 512), (0.7, 1000)):

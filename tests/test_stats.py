@@ -8,12 +8,13 @@ import threading
 import tracemalloc
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import circular_gaps, pair_corr_count_concat
+from oracles import circular_gaps, pair_corr_count_concat, powers_mp
 from paircorr import _pool, stats
 from paircorr._pool import ResourceGuardError
 from paircorr._precision import _pow_ld, as_ld, frac
@@ -42,6 +43,8 @@ def test_fractional_parts_exclude_squares():
     assert ps.size == 90
     assert np.all(ps.points > 0.0)
     # alpha = 1, theta = 1/2: only the squares land exactly on 0
+    for theta in (0.3, 0.5):
+        assert fractional_parts(theta, 1.0, 4, 4, True).size == 0
 
 
 def test_fractional_parts_validation():
@@ -78,23 +81,96 @@ def test_unreducible_dilate_is_refused_by_name_before_any_table(
     assert ps.points.tobytes() == want.tobytes()
 
 
-def test_fractional_parts_bytes_match_direct_reduction():
+def _table_alone(monkeypatch, theta, n_lo, n_hi, drop):
+    """The window's powers, built apart from the table under test: for
+    theta = 1/2 by _pow_ld's sqrt, else on one worker in chunks of 1000
+    (another chunk grid), with the squares dropped afterwards by mask; the
+    kept table is left as it was."""
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    keep = np.array([not drop or math.isqrt(n) ** 2 != n
+                     for n in ns.tolist()], dtype=bool)
+    if theta == 0.5:
+        return _pow_ld(ns[keep], theta)
+    with monkeypatch.context() as m:
+        m.setattr(stats, "_table", None)
+        m.setattr(stats, "_thread_workers", lambda: 1)
+        m.setattr(stats, "_CHUNK", 1000)
+        return stats._powers(theta, n_lo, n_hi, False)[keep]
+
+
+def test_fractional_parts_bytes_match_direct_reduction(monkeypatch):
     # alternating keys reuse and rebuild the power table; one-point window,
     # windows past one chunk, with and without the squares
     keys = [(0.3, 1, 70000, False), (0.5, 1, 70000, True),
             (0.3, 1, 70000, False), (0.7, 9, 9, False),
             (0.5, 100001, 200000, True), (0.5, 100001, 200000, False),
             (0.5, 100001, 200000, True), (0.7, 1, 2 ** 16 + 1, False)]
-    for theta, n_lo, n_hi, drop in keys:
-        ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-        if drop:
-            ns = np.array([n for n in ns.tolist()
-                           if math.isqrt(n) ** 2 != n], dtype=np.int64)
-        w = _pow_ld(ns, theta)
+    alone = {key: _table_alone(monkeypatch, *key) for key in set(keys)}
+    for key in keys:
+        theta, n_lo, n_hi, drop = key
         for alpha in (1.0, 1.3710934, 1.9):
             ps = fractional_parts(theta, alpha, n_lo, n_hi, drop)
-            direct = frac(as_ld(alpha) * w)
+            direct = frac(as_ld(alpha) * alone[key])
             assert ps.points.tobytes() == direct.tobytes()
+        assert np.array_equal(stats._powers(*key), alone[key])
+
+
+def _ld_mpf(x):
+    """A long double as the mpmath number it is exactly."""
+    m, e = np.frexp(x)
+    top = int(np.ldexp(m, 64).astype(np.uint64))
+    return mpmath.ldexp(mpmath.mpf(top), int(e) - 64)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.7, 0.9, 0.999])
+def test_anchored_powers_within_0_6_ulp_of_mpmath(theta):
+    # windows from 1, across 2**20 (an octave and a chunk edge inside) and
+    # near 1e8, with and without the squares: every element within one ulp
+    # of powl, and sampled ones within 0.6 ulp of n**theta
+    C = stats._CHUNK
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for n_lo, n_hi in ((1, 2 * C + 17), (2 ** 20 - C // 2, 2 ** 20 + C + 3),
+                       (10 ** 8 - 100, 10 ** 8 + C + 100)):
+        for drop in (False, True):
+            w = stats._powers(theta, n_lo, n_hi, drop)
+            ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+            if drop:
+                ns = ns[[math.isqrt(n) ** 2 != n for n in ns.tolist()]]
+            assert w.size == ns.size
+            powl = _pow_ld(ns, theta)
+            assert np.all(np.abs(w - powl) <= np.spacing(powl))
+            edges = [n_lo + k * C for k in range(1, 3)] + [2 ** 20]
+            near = np.abs(ns[:, None] - np.array(edges)).min(axis=1) <= 3
+            pick = np.flatnonzero(near)
+            pick = np.concatenate([pick, np.arange(64), [ns.size - 1],
+                                   rng.integers(0, ns.size, 300)])
+            with mpmath.workprec(200):
+                for i, v in zip(pick.tolist(),
+                                powers_mp(theta, ns[pick])):
+                    ulp = mpmath.ldexp(1, mpmath.frexp(v)[1] - 1
+                                       - stats.LD_NMANT)
+                    worst = max(worst, abs(_ld_mpf(w[i]) - v) / ulp)
+    assert worst <= 0.6
+
+
+def test_point_set_holds_its_counted_bytes(monkeypatch):
+    # a point set keeps its power table, its points and their sorted copy,
+    # _BYTES_PER_POINT bytes a point; past them only one pool job's chunk
+    # temporaries, about 80 bytes a chunk element on one worker
+    monkeypatch.setattr(stats, "_thread_workers", lambda: 1)
+    for theta, drop in ((0.3, False), (0.7, True), (0.5, True)):
+        monkeypatch.setattr(stats, "_table", None)
+        tracemalloc.start()
+        try:
+            ps = fractional_parts(theta, 1.37, 1, 25 * stats._CHUNK, drop)
+            ps.sorted_points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = stats._BYTES_PER_POINT * ps.size
+        assert need <= peak <= need + 128 * stats._CHUNK
+        del ps
 
 
 def test_power_table_is_read_only_and_replaced(monkeypatch):
@@ -105,12 +181,13 @@ def test_power_table_is_read_only_and_replaced(monkeypatch):
     old = weakref.ref(w)
     del w
     seen = []
+    kernel = stats._anchored_pow
 
-    def spy(values, expo):
+    def spy(ns, theta, anchors, out):
         seen.append(old() is None)
-        return _pow_ld(values, expo)
+        kernel(ns, theta, anchors, out)
 
-    monkeypatch.setattr(stats, "_pow_ld", spy)
+    monkeypatch.setattr(stats, "_anchored_pow", spy)
     fractional_parts(0.3, 1.5, 1, 1001)
     # the old table was gone before the first power of the new one
     assert seen and all(seen)
@@ -126,16 +203,14 @@ def test_pooled_points_and_powers_match_direct_reduction(monkeypatch,
     C = stats._CHUNK
     keys = [(0.3, 1, 3 * C + 17, False), (0.5, 1, 3 * C + 17, True),
             (0.7, 5, 5, False), (0.5, 10 ** 6, 10 ** 6 + 2 * C - 1, True),
-            (0.7, 2 ** 20 + 1, 2 ** 20 + C, False)]
+            (0.7, 2 ** 20 + 1, 2 ** 20 + C, False),
+            (0.3, 10 ** 6, 10 ** 6 + 2 * C - 1, True)]
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for theta, n_lo, n_hi, drop in keys:
-            ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-            if drop:
-                ns = ns[[math.isqrt(n) ** 2 != n for n in ns.tolist()]]
-            w = _pow_ld(ns, theta)
+            w = _table_alone(monkeypatch, theta, n_lo, n_hi, drop)
             for alpha in (1.0, 1.3710934):
                 ps = fractional_parts(theta, alpha, n_lo, n_hi, drop)
                 direct = frac(as_ld(alpha) * w)
@@ -154,17 +229,18 @@ def test_pooled_powers_run_on_several_threads(monkeypatch, workers):
     barrier = threading.Barrier(2, timeout=30)
     lock = threading.Lock()
     seen, unpublished = [], []
+    kernel = stats._anchored_pow
 
-    def spy(values, expo):
+    def spy(ns, theta, anchors, out):
         with lock:
             seen.append(threading.get_ident())
             first = len(seen) <= 2
         unpublished.append(stats._table is None)
         if first:
             barrier.wait()
-        return _pow_ld(values, expo)
+        kernel(ns, theta, anchors, out)
 
-    monkeypatch.setattr(stats, "_pow_ld", spy)
+    monkeypatch.setattr(stats, "_anchored_pow", spy)
     threads = threading.active_count()
     fractional_parts(0.3, 1.5, 1, 4 * stats._CHUNK)
     assert threading.active_count() == threads
