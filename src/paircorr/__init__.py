@@ -10,9 +10,8 @@ runner (cli).
 from ._pool import ResourceGuardError
 from .beurling import (BeurlingConstructionError, BeurlingSelberg,
                        build_beurling_selberg)
-from .diophantine import (DioInstance, ZMultiset, build_zset, count_duq,
-                          count_zdiag, dio_instance, duq_bound_check,
-                          robert_sargos_count)
+from .diophantine import (DioInstance, build_zset, count_duq, count_zdiag,
+                          dio_instance, duq_bound_check, robert_sargos_count)
 from .expsums import (BProcessConstants, ExpSumPair, SequenceSpec,
                       TildeDecomposition, bprocess_constants,
                       exp_sum_bprocess, exp_sum_direct, exp_sum_pair,
@@ -49,7 +48,6 @@ __all__ = [
     "SequenceSpec",
     "TestKernel",
     "TildeDecomposition",
-    "ZMultiset",
     "bprocess_constants",
     "build_beurling_selberg",
     "build_zset",

@@ -22,17 +22,18 @@ from ._pool import ResourceGuardError  # noqa: F401
 from ._precision import (_pow_ld, as_ld, e_frac, frac,  # noqa: F401
                          iceil, ifloor)
 
-_ENUM_BUDGET = 10**9
-
-# peak bytes in build_zset: a pair's m, n and z, filled in place, then the
-# sort order and one sorted copy at a time (40.0 under tracemalloc); and
-# while the pairs are filled, a window point's m and long-double power
-_BYTES_PER_Z = 40
-_BYTES_PER_M = 24
+# peak bytes in build_zset: a pair's z, filled in place and sorted in place;
+# and while _pow_ld runs, a window point's m, its long-double copy and its
+# long-double power (4.0 MB under tracemalloc at 10**5 window points)
+_BYTES_PER_Z = 8
+_BYTES_PER_WINDOW = 8 + 16 + 16
 
 # peak bytes a difference holds in robert_sargos_count: it, its sorted
-# copy, a shifted copy and two searches (40.0 under tracemalloc)
+# copy, a shifted copy and two searches (40.0 under tracemalloc); and a
+# value's: its float64, plus the call's fixed 0.8 kB spread over M >= 100
+# values (23.3 bytes a value under tracemalloc at M = 100, 9.0 at 1000)
 _BYTES_PER_DIFF = 40
+_BYTES_PER_M = 24
 
 # peak bytes a product holds through count_duq: the products, sorted in
 # place, a shifted copy and the two search bounds (32.0 under tracemalloc)
@@ -44,9 +45,8 @@ class DioInstance:
     """One cell of the counting problem.
 
     j_lo/j_hi and gap_lo/gap_hi are half-open integer ranges; m_lo/m_hi is
-    inclusive.  u, q, N, eps are grid provenance and may be None for
-    hand-built instances.  A cell whose smallest gap exceeds the window
-    width admits no pairs at all and is flagged vacuous.
+    inclusive.  A cell whose smallest gap exceeds the window width admits
+    no pairs at all and is flagged vacuous.
     """
 
     theta: float
@@ -57,10 +57,6 @@ class DioInstance:
     gap_lo: int
     gap_hi: int
     threshold: float
-    u: int | None = None
-    q: int | None = None
-    N: int | None = None
-    eps: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -112,25 +108,11 @@ def dio_instance(theta: float, N: int, eps: float, u: int, q: int) -> DioInstanc
         m_lo=max(1, iceil(m_min)), m_hi=ifloor(m_max),
         gap_lo=iceil(math.exp(q)), gap_hi=iceil(math.exp(q + 1.0)),
         threshold=float(N) ** eps,
-        u=u, q=q, N=N, eps=eps,
     )
 
 
-@dataclass(frozen=True)
-class ZMultiset:
-    """Gap values z = m**(1-Theta) - n**(1-Theta) > 0, sorted ascending."""
-
-    z: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.z.size)
-
-
-def build_zset(inst: DioInstance) -> ZMultiset:
-    """Enumerate (z, m, n) over the window of inst, one entry per pair.
+def build_zset(inst: DioInstance) -> np.ndarray:
+    """The z of every pair (m, n) of the window of inst, ascending.
 
     1 - Theta is negative, so m < n makes z positive.  The subtraction is
     done in long double: nearby m, n cancel most of their leading digits.
@@ -138,65 +120,48 @@ def build_zset(inst: DioInstance) -> ZMultiset:
     width = inst.m_hi - inst.m_lo
     gaps = range(inst.gap_lo, min(inst.gap_hi, width + 1))
     total = sum(width + 1 - d for d in gaps)
-    _pool.guard(total, "z enumeration pairs", _ENUM_BUDGET)
-    _pool.guard(total * _BYTES_PER_Z + (width + 1) * _BYTES_PER_M,
+    _pool.guard(total * _BYTES_PER_Z + (width + 1) * _BYTES_PER_WINDOW,
                 f"bytes for {total} z pairs")
-    if total == 0:
-        empty = np.array([], dtype=np.int64)
-        return ZMultiset(z=np.array([], dtype=np.float64), m=empty, n=empty)
-    window = np.arange(inst.m_lo, inst.m_hi + 1, dtype=np.int64)
-    btab = _pow_ld(window, 1.0 - inst.Theta)
-    m = np.empty(total, dtype=np.int64)
-    n = np.empty(total, dtype=np.int64)
+    btab = _pow_ld(np.arange(inst.m_lo, inst.m_hi + 1, dtype=np.int64),
+                   1.0 - inst.Theta)
     z = np.empty(total, dtype=np.float64)
     i = 0
     for d in gaps:
         k = width + 1 - d
-        m[i:i + k] = window[:k]
-        np.add(window[:k], d, out=n[i:i + k])
         # the long-double difference, rounded to float64 in buffered chunks
         np.subtract(btab[:k], btab[d:d + k], out=z[i:i + k],
                     casting="same_kind")
         i += k
-    del window, btab
-    order = np.argsort(z, kind="stable")
-    # each sorted copy replaces its source before the next is made
-    z = z[order]
-    m = m[order]
-    n = n[order]
-    return ZMultiset(z=z, m=m, n=n)
+    z.sort()
+    return z
 
 
-def _products(inst: DioInstance, zset: ZMultiset | None = None) -> np.ndarray:
-    if zset is None:
-        zset = build_zset(inst)
+def _products(inst: DioInstance, z: np.ndarray | None = None) -> np.ndarray:
+    if z is None:
+        z = build_zset(inst)
     js = inst.js
-    est = js.size * zset.size
-    _pool.guard(est, "product enumeration values", _ENUM_BUDGET)
+    est = js.size * z.size
     _pool.guard(est * _BYTES_PER_PRODUCT, f"bytes for {est} products")
-    if est == 0:
-        return np.array([], dtype=np.float64)
     jpow = _pow_ld(js, inst.Theta)
-    z_ld = as_ld(zset.z)
+    z_ld = as_ld(z)
     rows = []
-    chunk = max(1, int(2 ** 22) // max(zset.size, 1))
+    chunk = max(1, int(2 ** 22) // max(z.size, 1))
     for i in range(0, js.size, chunk):
         rows.append((jpow[i:i + chunk, None] * z_ld[None, :])
                     .astype(np.float64).ravel())
     return np.concatenate(rows)
 
 
-def count_duq(inst: DioInstance, zset: ZMultiset | None = None) -> int:
+def count_duq(inst: DioInstance, z: np.ndarray | None = None) -> int:
     """Ordered pairs of products within the threshold, self-pairs included.
 
     |j1^Theta z1 - j2^Theta z2| <= threshold, counted over all (j, z) from
-    the instance on both sides; a vacuous instance counts zero.
+    the instance on both sides; a vacuous instance counts zero.  z is
+    build_zset(inst), built here if not given.
     """
     if inst.is_vacuous:
         return 0
-    v = _products(inst, zset)
-    if v.size == 0:
-        return 0
+    v = _products(inst, z)
     v.sort()
     bound = v + inst.threshold
     hi = np.searchsorted(v, bound, side="right")
@@ -205,13 +170,11 @@ def count_duq(inst: DioInstance, zset: ZMultiset | None = None) -> int:
     return int(hi.sum())
 
 
-def count_zdiag(zset: ZMultiset, tau: float) -> int:
-    """Ordered pairs of z values with |z1 - z2| strictly below tau."""
-    if zset.size == 0:
-        return 0
-    zs = zset.z
-    hi = np.searchsorted(zs, zs + tau, side="left")
-    lo = np.searchsorted(zs, zs - tau, side="right")
+def count_zdiag(z: np.ndarray, tau: float) -> int:
+    """Ordered pairs of z values with |z1 - z2| strictly below tau, for z
+    ascending as build_zset returns it."""
+    hi = np.searchsorted(z, z + tau, side="left")
+    lo = np.searchsorted(z, z - tau, side="right")
     # tau = 0 makes the open interval empty while ties push hi below lo
     return int(np.maximum(hi - lo, 0).sum())
 
@@ -262,15 +225,15 @@ def duq_bound_check(theta: float, N: int, eps: float) -> list[dict]:
     for u in range(max(1, u_lo), u_hi + 1):
         for q in range(0, q_hi + 1):
             inst = dio_instance(theta, N, eps, u, q)
-            zset = build_zset(inst)
-            duq = count_duq(inst, zset)
+            z = build_zset(inst)
+            duq = count_duq(inst, z)
             tau = float(N) ** (2.0 * eps) * math.exp(-TH * u)
-            zdiag = count_zdiag(zset, tau)
+            zdiag = count_zdiag(z, tau)
             rows.append({
                 "u": u,
                 "q": q,
                 "j_count": int(inst.j_hi - inst.j_lo),
-                "z_count": zset.size,
+                "z_count": z.size,
                 "vacuous": inst.is_vacuous,
                 "duq": duq,
                 "duq_ref": duq_ref,

@@ -445,7 +445,6 @@ def exp_sum_bprocess(spec: SequenceSpec, h: TestKernel, j: int) -> complex:
 class ExpSumPair:
     """Direct and short evaluations of one E_j, with the error yardstick."""
 
-    j: int
     direct: complex
     short: complex
     error_ref: float
@@ -461,7 +460,6 @@ def exp_sum_pair(spec: SequenceSpec, h: TestKernel, j: int) -> ExpSumPair:
     lo, hi, _ = _windows(spec, _single(j))
     ref = spec.N ** (1.0 - spec.theta / 2.0) / math.sqrt(j)
     return ExpSumPair(
-        j=j,
         direct=exp_sum_direct(spec, h, j),
         short=exp_sum_bprocess(spec, h, j),
         error_ref=ref,

@@ -171,19 +171,17 @@ def osc_integral_single(N: int, j: int, m: int, n: int, mu: MuMeasure,
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Monte Carlo estimate with its standard error and provenance."""
+    """Monte Carlo estimate with its standard error."""
 
     value: float
     stderr: float
     samples: int
-    seed: int
 
 
-def _estimate(vals: np.ndarray, samples: int, seed: int) -> MomentEstimate:
+def _estimate(vals: np.ndarray, samples: int) -> MomentEstimate:
     vals = np.asarray(vals, dtype=np.float64)
     err = float(vals.std(ddof=1) / np.sqrt(samples))
-    return MomentEstimate(value=float(vals.mean()), stderr=err,
-                          samples=samples, seed=seed)
+    return MomentEstimate(float(vals.mean()), err, samples)
 
 
 def _per_block(N: int, mu: MuMeasure, samples: int, js: np.ndarray,
@@ -223,9 +221,9 @@ def second_moment_tilde_e(N: int, j: int, mu: MuMeasure, samples: int = 256,
         return np.stack([abs2, diag], axis=1)
 
     rows = _per_block(N, mu, samples, js, block)
-    total = _estimate(rows[:, 0], samples, mu.seed)
+    total = _estimate(rows[:, 0], samples)
     if split:
-        return total, _estimate(rows[:, 1], samples, mu.seed)
+        return total, _estimate(rows[:, 1], samples)
     return total
 
 
@@ -238,10 +236,10 @@ def second_moment_roff(N: int, f: TestKernel, h: TestKernel, eps: float,
         raise ValueError("N must be at least 2")
     js = _band(N, eps)
     if js.size == 0:
-        return MomentEstimate(0.0, 0.0, samples, mu.seed)
+        return MomentEstimate(0.0, 0.0, samples)
     fv = fourier(f, js / N).real
 
     def block(b: SequenceSpec):
         return [t.off_diagonal ** 2 for t in _tilde_from_values(b, h, js, fv)]
 
-    return _estimate(_per_block(N, mu, samples, js, block), samples, mu.seed)
+    return _estimate(_per_block(N, mu, samples, js, block), samples)

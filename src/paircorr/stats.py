@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -45,20 +45,13 @@ _table: tuple | None = None
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Fractional parts of alpha * n**theta over an integer window.
+    """Points on the circle [0, 1), such as {alpha * n**theta}.
 
-    theta = alpha = None marks synthetic reference samples (see
-    uniform_points) that carry no arithmetic provenance.  points is kept as
-    a read-only view, so the sorted copy cached from it cannot go stale.
-    Two sets are equal only if they are the same object, which also gives
-    the hash.
+    points is kept as a read-only view, so the sorted copy cached from it
+    cannot go stale.  Two sets are equal only if they are the same object,
+    which also gives the hash.
     """
 
-    theta: float | None
-    alpha: float | None
-    n_lo: int
-    n_hi: int
-    exclude_squares: bool
     points: np.ndarray
 
     def __post_init__(self):
@@ -79,36 +72,40 @@ class PointSet:
         return int(self.points.size)
 
 
+@cache
+def _anchor(theta: float, a: int) -> tuple:
+    """a**theta from mpmath at 128 bits: the mantissa and exponent of hi,
+    the value rounded to LD_NMANT + 1 bits, and the float64 lo for the
+    rest.  Cached, as every table of one theta shares its blocks' centres."""
+    import mpmath  # on the first anchor only: importing paircorr stays cheap
+
+    with mpmath.workprec(128):
+        v = mpmath.mpf(a) ** mpmath.mpf(theta)
+        with mpmath.workprec(LD_NMANT + 1):
+            hi = +v
+        return int(hi.man), int(hi.exp), float(v - hi)
+
+
 def _anchors(theta: float, n_lo: int, n_hi: int) -> tuple:
     """The anchors of the blocks that meet [n_lo, n_hi], as arrays.
 
     Each octave [2**e, 2**(e+1)) is cut into 32 blocks of 2**(e-5)
     integers, and below 2**5 every integer is its own block, so a block
     depends on n alone and every n lies within 2**-6 a of its block's
-    centre a.  a**theta comes from mpmath at 128 bits, as a long double hi
-    (the value rounded to LD_NMANT + 1 bits, converted exactly through
-    uint64) and a float64 lo for the rest, kept in a long-double array so
-    that adding it takes no cast.  Returns (block starts, centres, 1/a in
-    long double, hi, lo).
+    centre a.  a**theta is a long double hi from _anchor (converted exactly
+    through uint64) and a float64 lo, kept in a long-double array so that
+    adding it takes no cast.  Returns (block starts, centres, 1/a in long
+    double, hi, lo).
     """
-    import mpmath  # on the first anchored table only: import stays cheap
-
-    starts, centres, mans, exps, los = [], [], [], [], []
+    starts, centres = [], []
     n = int(n_lo)
-    with mpmath.workprec(128):
-        while n <= n_hi:
-            width = 1 << max(n.bit_length() - 6, 0)
-            start = n & -width
-            a = start + width // 2
-            v = mpmath.mpf(a) ** mpmath.mpf(theta)
-            with mpmath.workprec(LD_NMANT + 1):
-                hi = +v
-            starts.append(start)
-            centres.append(a)
-            mans.append(int(hi.man))
-            exps.append(int(hi.exp))
-            los.append(float(v - hi))
-            n = start + width
+    while n <= n_hi:
+        width = 1 << max(n.bit_length() - 6, 0)
+        start = n & -width
+        starts.append(start)
+        centres.append(start + width // 2)
+        n = start + width
+    mans, exps, los = zip(*(_anchor(theta, a) for a in centres))
     centres = np.array(centres, dtype=np.int64)
     hi = np.ldexp(np.array(mans, dtype=np.uint64).astype(LD),
                   np.array(exps))
@@ -237,8 +234,7 @@ def fractional_parts(theta: float, alpha: float, n_lo: int, n_hi: int,
         frac(a * w[i:i + _CHUNK], out=pts[i:i + _CHUNK])
 
     pmap(job, range(0, w.size, _CHUNK), _thread_workers())
-    return PointSet(theta=theta, alpha=alpha, n_lo=n_lo, n_hi=n_hi,
-                    exclude_squares=exclude_squares, points=pts)
+    return PointSet(pts)
 
 
 def uniform_points(n: int, seed: int = 0) -> PointSet:
@@ -250,9 +246,7 @@ def uniform_points(n: int, seed: int = 0) -> PointSet:
     if n < 1:
         raise ValueError("n must be a positive integer")
     _pool.guard(n * _BYTES_PER_UNIFORM, f"bytes for {n} uniform points")
-    pts = np.random.default_rng(seed).random(n)
-    return PointSet(theta=None, alpha=None, n_lo=1, n_hi=n,
-                    exclude_squares=False, points=pts)
+    return PointSet(np.random.default_rng(seed).random(n))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ The module is the home of every evaluation that only tests call:
 - beurling_B, Beurling's series summed term by term, which
   beurling._b_on_grid is checked against;
 - stationary_point, the location of one stationary point;
+- zset_mp, the z of every pair of a DioInstance's window in 50-digit
+  mpmath, which diophantine.build_zset is checked against;
 - count_log_close_pairs and twisted_second_moment, the log-close pair count
   of the products of a DioInstance and the twisted second moment of
   Dirichlet polynomials that bounds it from above;
@@ -43,7 +45,7 @@ from numpy.polynomial.legendre import leggauss
 
 from paircorr._precision import LD, _pow_ld, as_ld, e_frac, frac
 from paircorr.beurling import BeurlingSelberg
-from paircorr.diophantine import DioInstance, ZMultiset, _products, build_zset
+from paircorr.diophantine import DioInstance, _products, build_zset
 from paircorr.expsums import (SequenceSpec, TildeDecomposition, _band,
                               _short_components, _windows, bprocess_constants)
 from paircorr.kernels import FourierTable, default_h, integrate
@@ -352,20 +354,31 @@ def stationary_point(spec: SequenceSpec, j: int, m: int) -> float:
     return (spec.theta * spec.alpha * j / m) ** spec.Theta
 
 
+def zset_mp(inst: DioInstance) -> list:
+    """z = m**(1-Theta) - n**(1-Theta) in 50-digit mpmath, one per pair
+    m < n of the window with gap_lo <= n - m < gap_hi, in pair order.
+
+    The exponent is the float64 1 - Theta that build_zset takes, so only
+    the pairs and the arithmetic are checked, not the exponent's rounding.
+    """
+    with mpmath.workdps(50):
+        e = mpmath.mpf(1.0 - inst.Theta)
+        return [mpmath.mpf(m) ** e - mpmath.mpf(n) ** e
+                for m in range(inst.m_lo, inst.m_hi + 1)
+                for n in range(m + inst.gap_lo,
+                               min(m + inst.gap_hi, inst.m_hi + 1))]
+
+
 def count_log_close_pairs(inst: DioInstance, T: float,
-                          zset: ZMultiset | None = None) -> int:
+                          z: np.ndarray | None = None) -> int:
     """Ordered pairs of products with |T log(v1/v2)| < 1 (self included)."""
-    v = _products(inst, zset)
-    if v.size == 0:
-        return 0
-    lv = np.sort(np.log(v))
+    lv = np.sort(np.log(_products(inst, z)))
     hi = np.searchsorted(lv, lv + 1.0 / T, side="left")
     lo = np.searchsorted(lv, lv - 1.0 / T, side="right")
     return int((hi - lo).sum())
 
 
-def twisted_second_moment(inst: DioInstance, bs: BeurlingSelberg,
-                          T: float | None = None,
+def twisted_second_moment(inst: DioInstance, bs: BeurlingSelberg, T: float,
                           node_factor: int = 16) -> float:
     """(1/T) int |D_u(Theta t)|^2 |P(t)|^2 Phi(t/T) dt by midpoint rule.
 
@@ -374,29 +387,24 @@ def twisted_second_moment(inst: DioInstance, bs: BeurlingSelberg,
     value equals sum over ordered pairs of products of
     Phi_hat(T log(v1/v2)); since Phi_hat dominates the unit tent, the value
     is bounded below by the number of pairs with |T log(v1/v2)| < 1.
-    T defaults to e^q N^(1-eps) when the instance carries grid provenance.
     """
-    if T is None:
-        if inst.q is None or inst.N is None or inst.eps is None:
-            raise ValueError("explicit T required for hand-built instances")
-        T = math.exp(inst.q) * inst.N ** (1.0 - inst.eps)
     if T <= 0:
         raise ValueError("T must be positive")
-    zset = build_zset(inst)
-    if zset.size == 0:
+    z = build_zset(inst)
+    if z.size == 0:
         return 0.0
     js = inst.js
     TH = inst.Theta
     # fastest beat frequency of |D|^2 |P|^2 in cycles per unit t
     f_max = (TH * (math.log(inst.j_hi) - math.log(inst.j_lo))
-             + math.log(zset.z[-1] / zset.z[0]) + 1.0 / T)
+             + math.log(z[-1] / z[0]) + 1.0 / T)
     dt = min(1.0 / (node_factor * f_max), T / node_factor)
     K = int(math.ceil(2.0 * T / dt))
     ts = -T + (np.arange(K) + 0.5) * (2.0 * T / K)
     lj = np.log(js.astype(np.float64))
-    lz = np.log(zset.z)
+    lz = np.log(z)
     acc = 0.0
-    chunk = max(1, int(2 ** 22) // max(js.size + zset.size, 1))
+    chunk = max(1, int(2 ** 22) // max(js.size + z.size, 1))
     for i in range(0, K, chunk):
         tt = ts[i:i + chunk]
         D = np.exp(2j * np.pi * TH * np.outer(tt, lj)).sum(axis=1)

@@ -204,7 +204,7 @@ def test_09_counting_bounds(capsys):
     micro_count = count_duq(micro)
     zs = build_zset(micro)
     prods = np.array([float(j) ** micro.Theta * z
-                      for j in micro.js for z in zs.z])
+                      for j in micro.js for z in zs])
     d = np.abs(prods[:, None] - prods[None, :])
     naive = int((d <= micro.threshold).sum())
     rng = np.random.default_rng(77)
@@ -219,7 +219,7 @@ def test_09_counting_bounds(capsys):
             threshold=float(rng.uniform(0.0, 3.0)))
         zi = build_zset(inst)
         pi = np.array([float(j) ** inst.Theta * z
-                       for j in inst.js for z in zi.z])
+                       for j in inst.js for z in zi])
         ref = 0 if pi.size == 0 else int(
             (np.abs(pi[:, None] - pi[None, :]) <= inst.threshold).sum())
         sweep_ok = sweep_ok and count_duq(inst) == ref

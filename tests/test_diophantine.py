@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from paircorr.diophantine import (DioInstance, ResourceGuardError, build_zset,
                                   count_duq, count_zdiag, dio_instance,
                                   duq_bound_check, robert_sargos_count)
 
-from oracles import count_log_close_pairs, twisted_second_moment
+from oracles import count_log_close_pairs, twisted_second_moment, zset_mp
 
 MICRO = DioInstance(theta=0.5, j_lo=4, j_hi=6, m_lo=2, m_hi=4,
                     gap_lo=1, gap_hi=2, threshold=1.0)
@@ -22,7 +23,7 @@ def naive_duq(inst: DioInstance) -> int:
     # all-pairs difference matrix, no sorting tricks
     zs = build_zset(inst)
     prods = np.array([float(j) ** inst.Theta * z
-                      for j in inst.js for z in zs.z])
+                      for j in inst.js for z in zs])
     if prods.size == 0:
         return 0
     d = np.abs(prods[:, None] - prods[None, :])
@@ -49,10 +50,40 @@ def naive_rs(M: int, e: float, gamma: float) -> int:
 def test_micro_instance_zset():
     zs = build_zset(MICRO)
     assert zs.size == 2
-    assert zs.z[0] == pytest.approx(1.0 / 12.0, rel=1e-14)
-    assert zs.z[1] == pytest.approx(1.0 / 6.0, rel=1e-14)
-    assert list(zs.m) == [3, 2] and list(zs.n) == [4, 3]
-    assert np.all(np.diff(zs.z) > 0.0)
+    assert zs[0] == pytest.approx(1.0 / 12.0, rel=1e-14)
+    assert zs[1] == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert np.all(np.diff(zs) > 0.0)
+
+
+def test_zset_matches_the_mpmath_pair_list():
+    rng = np.random.default_rng(33)
+    insts = [
+        # vacuous: the smallest gap exceeds the window width
+        DioInstance(theta=0.3, j_lo=2, j_hi=3, m_lo=5, m_hi=9,
+                    gap_lo=6, gap_hi=9, threshold=1.0),
+        # an empty window, m_hi below m_lo, as dio_instance can give
+        DioInstance(theta=0.7, j_lo=2, j_hi=3, m_lo=8, m_hi=6,
+                    gap_lo=1, gap_hi=3, threshold=1.0),
+    ]
+    for theta in (0.3, 0.5, 0.7):
+        for _ in range(4):
+            m_lo = int(rng.integers(1, 100))
+            gap_lo = int(rng.integers(1, 8))
+            insts.append(DioInstance(
+                theta=theta, j_lo=2, j_hi=3,
+                m_lo=m_lo, m_hi=m_lo + int(rng.integers(0, 60)),
+                gap_lo=gap_lo, gap_hi=gap_lo + int(rng.integers(1, 12)),
+                threshold=1.0))
+    sizes = []
+    for inst in insts:
+        z = build_zset(inst)
+        ref = sorted(zset_mp(inst))
+        assert z.dtype == np.float64 and z.size == len(ref)
+        assert np.all(np.diff(z) >= 0.0)
+        for zi, ri in zip(z, ref):
+            assert abs(mpmath.mpf(zi) - ri) <= 2e-16 * ri
+        sizes.append(z.size)
+    assert sizes[:2] == [0, 0] and sum(sizes) > 1000
 
 
 def test_micro_instance_count():
@@ -112,8 +143,12 @@ def test_z_monotone_in_m_for_fixed_gap():
     inst = DioInstance(theta=0.5, j_lo=4, j_hi=6, m_lo=3, m_hi=40,
                        gap_lo=2, gap_hi=3, threshold=1.0)
     zs = build_zset(inst)
-    order = np.argsort(zs.m)
-    assert np.all(np.diff(zs.z[order]) < 0.0)
+    # one gap: z falls as m grows, so ascending z is the m-sequence reversed
+    m = np.arange(3, 39)
+    by_m = (_pow_ld(m, 1.0 - inst.Theta)
+            - _pow_ld(m + 2, 1.0 - inst.Theta)).astype(np.float64)
+    assert np.all(np.diff(zs) > 0.0)
+    assert np.array_equal(zs, by_m[::-1])
 
 
 def test_count_zdiag_hand_and_naive():
@@ -124,10 +159,8 @@ def test_count_zdiag_hand_and_naive():
     rng = np.random.default_rng(13)
     for _ in range(5):
         vals = np.sort(rng.uniform(0.0, 1.0, size=40))
-        from paircorr.diophantine import ZMultiset
-        zset = ZMultiset(z=vals, m=np.arange(40), n=np.arange(40) + 1)
         tau = float(rng.uniform(0.01, 0.5))
-        assert count_zdiag(zset, tau) == naive_zdiag(vals, tau)
+        assert count_zdiag(vals, tau) == naive_zdiag(vals, tau)
 
 
 def test_robert_sargos_hand_values(monkeypatch):
@@ -184,8 +217,6 @@ def test_twisted_second_moment_micro(bs):
     empty = DioInstance(theta=0.5, j_lo=4, j_hi=6, m_lo=2, m_hi=4,
                         gap_lo=5, gap_hi=9, threshold=1.0)
     assert twisted_second_moment(empty, bs, T=1.0) == 0.0
-    with pytest.raises(ValueError):
-        twisted_second_moment(MICRO, bs)  # no grid provenance, T required
 
 
 def test_twisted_moment_dominates_close_pairs_on_random_instances(bs):
@@ -216,8 +247,8 @@ def test_grid_instances_track_paper_scalings():
             if zs.size == 0:
                 continue
             z_ref = math.exp(q) * N * math.exp(-TH * u)
-            assert float(zs.z.min()) >= z_ref / 16.0
-            assert float(zs.z.max()) <= z_ref * 16.0
+            assert float(zs.min()) >= z_ref / 16.0
+            assert float(zs.max()) <= z_ref * 16.0
             if zs.size >= 8:
                 size_ref = math.exp(u) * N ** (theta - 1.0) * math.exp(q)
                 assert size_ref / 8.0 <= zs.size <= size_ref * 8.0
@@ -260,7 +291,7 @@ def _peak(fn):
 def _z_need(inst, size):
     """build_zset's byte count: its pairs and its m-window."""
     return (size * diophantine._BYTES_PER_Z
-            + (inst.m_hi - inst.m_lo + 1) * diophantine._BYTES_PER_M)
+            + (inst.m_hi - inst.m_lo + 1) * diophantine._BYTES_PER_WINDOW)
 
 
 # one gap: a window point per pair, whose powers the pair count alone

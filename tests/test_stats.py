@@ -194,6 +194,17 @@ def test_power_table_is_read_only_and_replaced(monkeypatch):
     assert stats._table[0] == (0.3, 1, 1001, False)
 
 
+def test_a_second_table_of_one_theta_computes_no_anchor():
+    stats._anchor.cache_clear()
+    stats._powers(0.3, 1, 5000, False)
+    first = stats._anchor.cache_info()
+    assert first.misses > 0
+    # another window, squares dropped: a new table on the same blocks
+    stats._powers(0.3, 3, 4000, True)
+    second = stats._anchor.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_pooled_points_and_powers_match_direct_reduction(monkeypatch,
                                                          workers):
@@ -271,14 +282,13 @@ def test_uniform_points_deterministic():
     c = uniform_points(1000, seed=43)
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
-    assert a.theta is None
 
 
 def test_pair_corr_hand_examples():
-    two = PointSet(None, None, 1, 2, False, np.array([0.1, 0.2]))
+    two = PointSet(np.array([0.1, 0.2]))
     est = pair_corr_count(two, 0.5)
     assert est.count == 2 and est.normalized == 1.0
-    far = PointSet(None, None, 1, 2, False, np.array([0.0, 0.5]))
+    far = PointSet(np.array([0.0, 0.5]))
     assert pair_corr_count(far, 0.5).count == 0
     assert pair_corr_count(two, 0.5).poisson_ref == 1.0
 
@@ -298,7 +308,7 @@ def test_pair_corr_matches_naive_oracle():
         rng = np.random.default_rng(seed)
         M = int(rng.integers(50, 400))
         pts = rng.random(M)
-        ps = PointSet(None, None, 1, M, False, pts)
+        ps = PointSet(pts)
         for s in (0.3, 1.0, 2.7):
             assert pair_corr_count(ps, s).count == naive_pair_count(pts, s)
 
@@ -312,7 +322,7 @@ def test_pair_corr_matches_concatenated_sweep():
             pts = rng.random(M)
             pts[0] = 0.0
             pts[-1] = 1.0 - 2.0 ** -53
-            ps = PointSet(None, None, 1, M, False, pts)
+            ps = PointSet(pts)
             below_half = float(np.nextafter(0.5, 0.0)) * M
             for s in (0.0, 0.25, 1.0, 3.7, below_half):
                 assert pair_corr_count(ps, s).count == \
@@ -321,7 +331,7 @@ def test_pair_corr_matches_concatenated_sweep():
     edge = np.concatenate([np.linspace(0.0, 1e-3, 500),
                            1.0 - np.linspace(0.0, 1e-3, 500)[1:]])
     edge[-1] = 1.0 - 2.0 ** -53
-    ps = PointSet(None, None, 1, edge.size, False, edge)
+    ps = PointSet(edge)
     for s in (0.0, 0.5, 2.0, 40.0):
         assert pair_corr_count(ps, s).count == pair_corr_count_concat(edge, s)
     # y a few ulp above r still lies within r of 1 - 2**-53 once rounded
@@ -330,7 +340,7 @@ def test_pair_corr_matches_concatenated_sweep():
         for _ in range(6):
             y = float(np.nextafter(y, 1.0))
             pts = np.array([1.0 - 2.0 ** -53, y, 0.5, 0.7])
-            ps = PointSet(None, None, 1, 4, False, pts)
+            ps = PointSet(pts)
             assert pair_corr_count(ps, s).count == \
                 pair_corr_count_concat(pts, s)
         # at 6 ulp the pair still counts at s = 0.25, and no more at 0.5
@@ -338,7 +348,7 @@ def test_pair_corr_matches_concatenated_sweep():
 
 
 def _pair_counts_agree(pts, radii):
-    ps = PointSet(None, None, 1, pts.size, False, pts)
+    ps = PointSet(pts)
     for s in radii:
         assert pair_corr_count(ps, s).count == pair_corr_count_concat(pts, s)
 
@@ -398,7 +408,7 @@ def test_one_sort_and_read_only_views_per_point_set(monkeypatch):
         ps.sorted_points[0] = 0.5
     # the caller's array stays writable
     pts = np.random.default_rng(1).random(10)
-    PointSet(None, None, 1, 10, False, pts)
+    PointSet(pts)
     pts[0] = 0.5
 
 
@@ -406,8 +416,8 @@ def test_pair_corr_translation_invariance():
     rng = np.random.default_rng(9)
     pts = rng.random(300)
     shifted = np.mod(pts + 0.374, 1.0)
-    a = PointSet(None, None, 1, 300, False, pts)
-    b = PointSet(None, None, 1, 300, False, shifted)
+    a = PointSet(pts)
+    b = PointSet(shifted)
     for s in (0.5, 1.0, 3.0):
         assert pair_corr_count(a, s).count == pair_corr_count(b, s).count
     ga = gap_distribution(a, bins=40)
@@ -430,7 +440,7 @@ def test_gap_distribution_mass_and_edges():
 def test_gap_distribution_equally_spaced_spike():
     # dyadic spacing and offset keep every gap exactly 1/256 in floats
     pts = (np.arange(256) / 256.0 + 0.125) % 1.0
-    ps = PointSet(None, None, 1, 256, False, pts)
+    ps = PointSet(pts)
     # 83 bins put the rescaled spike at 1.0 strictly inside a bin
     gh = gap_distribution(ps, bins=83)
     hot = np.argmax(gh.counts)
@@ -444,7 +454,7 @@ def test_gap_counts_match_the_edge_array_histogram():
     for pts, bins in ((spike, 80), (spike, 4),
                       (np.random.default_rng(2).random(3000), 80),
                       (np.random.default_rng(2).random(3000), 7)):
-        ps = PointSet(None, None, 1, pts.size, False, pts)
+        ps = PointSet(pts)
         gh = gap_distribution(ps, bins=bins)
         gaps = circular_gaps(pts)
         assert np.array_equal(gh.counts, np.histogram(gaps, gh.edges)[0])
@@ -459,8 +469,7 @@ def _gap_sets():
              for theta in (0.3, 0.5, 0.7)]
             + [fractional_parts(0.5, 1.0, 1, 10**4, exclude_squares=True),
                uniform_points(10**5, seed=5)]
-            + [PointSet(None, None, 1, p.size, False, p)
-               for p in (spike, ties)])
+            + [PointSet(p) for p in (spike, ties)])
 
 
 def test_gaps_are_the_np_diff_gaps_bit_for_bit(monkeypatch):
@@ -491,7 +500,7 @@ def test_gap_byte_count_covers_its_measured_peak(overflow):
         # about one gap in five lies past the histogram's edge
         k = M // 4
         pts = np.concatenate([np.arange(k) / k, np.full(M - k, 0.5 / k)])
-        ps = PointSet(None, None, 1, M, False, pts)
+        ps = PointSet(pts)
     else:
         ps = uniform_points(M, seed=6)
     ps.sorted_points
@@ -533,7 +542,7 @@ def test_uniform_points_past_the_memory_budget_are_refused_undrawn(
 
 def test_gaps_past_the_memory_budget_are_refused_unbuilt(monkeypatch):
     M = 10**6
-    ps = PointSet(None, None, 1, M, False, np.random.default_rng(8).random(M))
+    ps = PointSet(np.random.default_rng(8).random(M))
     gh = _refused_unbuilt(monkeypatch, M * stats._BYTES_PER_GAP,
                           lambda: gap_distribution(ps, bins=80))
     assert gh.n_points == M
@@ -542,7 +551,7 @@ def test_gaps_past_the_memory_budget_are_refused_unbuilt(monkeypatch):
 def test_gap_sum_is_one():
     rng = np.random.default_rng(10)
     pts = rng.random(777)
-    ps = PointSet(None, None, 1, 777, False, pts)
+    ps = PointSet(pts)
     vs = np.sort(pts)
     gaps = np.diff(vs, append=vs[0] + 1.0)
     assert float(gaps.sum()) == pytest.approx(1.0, abs=1e-12)
