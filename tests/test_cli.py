@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import warnings
 
@@ -189,6 +190,47 @@ def test_determinism_modulo_timestamp(tmp_path):
     r1["config"].pop("output_dir"), r2["config"].pop("output_dir")
     assert r1 == r2
     assert (out1 / "moments.csv").read_text() == (out2 / "moments.csv").read_text()
+
+
+def test_rerun_writes_new_files_with_the_same_bytes(tmp_path):
+    # a rerun into the same directory replaces both files with new ones: a
+    # hard link to the first report keeps its bytes, where a truncated and
+    # rewritten file would show the second run's timestamp through it
+    out = tmp_path / "out"
+    argv = ["paircorr", "--N", "1000", "--out", str(out)]
+    report, csv = out / "report.json", out / "paircorr.csv"
+    assert main(argv) == 0
+    first_report, first_csv = report.read_bytes(), csv.read_bytes()
+    kept = tmp_path / "kept.json"
+    os.link(report, kept)
+    assert main(argv) == 0
+    assert csv.read_bytes() == first_csv
+    assert (json.loads(report.read_text())["rows"]
+            == json.loads(first_report)["rows"])
+    assert kept.read_bytes() == first_report
+    assert not kept.samefile(report)
+
+
+def test_refused_rerun_leaves_the_earlier_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["paircorr", "--N", "1000", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"alpha": 1e20}))
+    assert main(["paircorr", "--config", str(cfg), "--N", "1000",
+                 "--out", str(out)]) == 2
+    assert "alpha=1e+20" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_csv_write_exits_2_without_a_report(tmp_path, capsys):
+    # the CSV's name is taken by a directory: the run fails on it before
+    # report.json is written, so exit 2 leaves no report beside it
+    out = tmp_path / "out"
+    (out / "paircorr.csv").mkdir(parents=True)
+    assert main(["paircorr", "--N", "1000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (out / "report.json").exists()
 
 
 def test_moments_run_replays_the_draws_once(monkeypatch):
